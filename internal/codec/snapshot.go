@@ -228,12 +228,28 @@ func decCPUSnapshot(d *dec, c *hydra.CPUSnapshot) {
 	c.Extra = d.i64()
 }
 
+// encMemState writes the low span flat — every word of [0, LoMax), zeros
+// between the sparse pages included — so the wire form does not depend on
+// the in-memory page representation.
 func encMemState(e *enc, st *mem.State) {
 	e.int(st.Size)
 	e.u64(uint64(st.Split))
 	e.u64(uint64(st.LoMax))
 	e.u64(uint64(st.HiMin))
-	e.i64s(st.Low)
+	e.u64(uint64(st.LoMax)) // the span's length prefix
+	next := mem.Addr(0)
+	for _, p := range st.Low {
+		for ; next < p.Base; next++ {
+			e.i64(0)
+		}
+		for _, v := range p.Words {
+			e.i64(v)
+		}
+		next = p.Base + mem.Addr(len(p.Words))
+	}
+	for ; next < st.LoMax; next++ {
+		e.i64(0)
+	}
 	e.i64s(st.High)
 }
 
@@ -242,7 +258,25 @@ func decMemState(d *dec, st *mem.State) {
 	st.Split = mem.Addr(d.u64())
 	st.LoMax = mem.Addr(d.u64())
 	st.HiMin = mem.Addr(d.u64())
-	st.Low = d.i64s()
+	n := d.count(1)
+	if d.err == nil && n != int(st.LoMax) {
+		d.fail(ErrCorrupt, "low span of %d words under watermark %d", n, st.LoMax)
+	}
+	if d.err != nil {
+		return
+	}
+	var page [mem.PageWords]int64
+	for base := 0; base < n; base += mem.PageWords {
+		words := page[:min(mem.PageWords, n-base)]
+		nonZero := false
+		for i := range words {
+			words[i] = d.i64()
+			nonZero = nonZero || words[i] != 0
+		}
+		if nonZero {
+			st.Low = append(st.Low, mem.Page{Base: mem.Addr(base), Words: append([]int64(nil), words...)})
+		}
+	}
 	st.High = d.i64s()
 }
 

@@ -44,7 +44,7 @@ func syntheticSnapshot() *hydra.MachineSnapshot {
 		NextCtxCheck: 1_300_000,
 		Mem: mem.State{
 			Size: 64, Split: 32, LoMax: 3, HiMin: 60,
-			Low: []int64{1, -2, 3}, High: []int64{4, 0, -6, 7},
+			Low: []mem.Page{{Base: 0, Words: []int64{1, -2, 3}}}, High: []int64{4, 0, -6, 7},
 		},
 		Caches: mem.CacheState{
 			L1: []mem.SetState{

@@ -170,11 +170,13 @@ func (rt *Router) Breakers() []serve.BreakerStats {
 // Ring exposes the hash ring (immutable).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// Key computes the submission's content address: the program hash combined
-// with the digest of the exact core.Options a replica would run the spec
-// with at its starting rung. Auto-mode and pinned-tls submissions share a
-// key deliberately — both start at the TLS rung with identical options, and
-// only undegraded results (which are rung-identical) enter the cache.
+// Key computes the submission's content address: the starting rung, the
+// program hash and the digest of the exact core.Options a replica would run
+// the spec with at that rung. The rung is part of the key because the
+// profile and seq rungs run with identical options yet return different
+// results. Auto-mode and pinned-tls submissions share a key deliberately —
+// both start at the TLS rung with identical options, and only undegraded
+// results (which are rung-identical) enter the cache.
 func (rt *Router) Key(spec serve.JobSpec) (string, error) {
 	key, _, err := rt.key(spec)
 	return key, err
@@ -195,7 +197,8 @@ func (rt *Router) key(spec serve.JobSpec) (key string, cacheable bool, err error
 	}
 	// Trace jobs carry a flight-recorder ring that does not travel in the
 	// wire result, so a cached answer would silently lose the trace: bypass.
-	return codec.CacheKey(codec.ProgramHash(bp), codec.EncodeOptions(opts)), !spec.Trace, nil
+	key = string(first) + ":" + codec.CacheKey(codec.ProgramHash(bp), codec.EncodeOptions(opts))
+	return key, !spec.Trace, nil
 }
 
 // Do routes one submission: cache lookup, then singleflight coalescing,

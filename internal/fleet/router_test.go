@@ -108,6 +108,43 @@ func TestRouterCacheHit(t *testing.T) {
 	}
 }
 
+// TestRouterCacheKeyIncludesRung: the profile and seq rungs run with the
+// same core.Options but return different results, so a cached seq result
+// must not answer a profile request for the same program (or the reverse).
+func TestRouterCacheKeyIncludesRung(t *testing.T) {
+	rt, stubs := newTestRouter(t, 2, Config{})
+	seq := testSpec(t, 4)
+	seq.Mode = "seq"
+	profile := seq
+	profile.Mode = "profile"
+
+	if _, err := rt.Do(context.Background(), seq); err != nil {
+		t.Fatal(err)
+	}
+	out, err := rt.Do(context.Background(), profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.CacheHit {
+		t.Fatal("profile request answered with the cached seq result")
+	}
+	again, err := rt.Do(context.Background(), seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit {
+		t.Fatal("repeated seq request missed the cache")
+	}
+	if total := stubs[0].calls.Load() + stubs[1].calls.Load(); total != 2 {
+		t.Fatalf("replicas saw %d calls, want 2 (one per rung)", total)
+	}
+	kSeq, _ := rt.Key(seq)
+	kProf, _ := rt.Key(profile)
+	if kSeq == kProf {
+		t.Fatalf("seq and profile requests share cache key %q", kSeq)
+	}
+}
+
 func TestRouterDegradedResultNotCached(t *testing.T) {
 	rt, stubs := newTestRouter(t, 2, Config{})
 	for _, s := range stubs {

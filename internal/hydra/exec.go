@@ -19,20 +19,12 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// exec runs one instruction on c. Out-of-range data accesses surface as
-// *mem.Fault panics from the memory model; recovering at the instruction
-// boundary leaves the CPU parked on the faulting instruction with no partial
-// architectural update, so a speculative fault can defer cleanly (§5.1).
+// exec runs one instruction on c. An out-of-range data access is disposed
+// of inside loadWord/storeWord and latched in c.faulted; every operation
+// that reaches memory checks the latch before its register or pc writeback,
+// so the CPU stays parked on the faulting instruction with no partial
+// architectural update and a speculative fault can defer cleanly (§5.1).
 func (m *Machine) exec(c *CPU) {
-	defer func() {
-		if r := recover(); r != nil {
-			f, ok := r.(*mem.Fault)
-			if !ok {
-				panic(r) // not a data fault; Run's backstop converts it
-			}
-			m.dataFault(c, f)
-		}
-	}()
 	method := m.Image.Method(c.MethodID)
 	if c.PC < 0 || c.PC >= len(method.Code) {
 		m.fail(m.badProgram(c, "pc %d out of range in %s", c.PC, method.Name))
@@ -41,6 +33,7 @@ func (m *Machine) exec(c *CPU) {
 	in := method.Code[c.PC]
 	m.Instructions++
 	c.extra = 0
+	c.faulted = false
 	// Deterministic fault injection: a spurious RAW violation hits this
 	// speculative thread as if an older store had touched one of its exposed
 	// reads (the thread and everything younger restart).
@@ -178,30 +171,24 @@ func (m *Machine) exec(c *CPU) {
 	case isa.FLOG:
 		r[in.Rd] = bits(math.Log(f64(r[in.Rs])))
 
-	// Memory. Effective addresses are bounds-checked here so the common wild
-	// wrong-path access takes a direct branch to the fault disposition instead
-	// of a panic unwind out of the memory model.
+	// Memory. A wild effective address latches c.faulted (see loadWord).
 	case isa.LW:
-		a := mem.Addr(r[in.Rs] + in.Imm)
-		if !m.Mem.InRange(a) {
-			m.wildLoad(c, a, false)
+		v := m.loadWord(c, mem.Addr(r[in.Rs]+in.Imm), false, ClassHeap)
+		if c.faulted {
 			return
 		}
-		r[in.Rd] = m.loadWord(c, a, false, ClassHeap)
+		r[in.Rd] = v
 	case isa.LWNV:
-		a := mem.Addr(r[in.Rs] + in.Imm)
-		if !m.Mem.InRange(a) {
-			m.wildLoad(c, a, true)
+		v := m.loadWord(c, mem.Addr(r[in.Rs]+in.Imm), true, ClassHeap)
+		if c.faulted {
 			return
 		}
-		r[in.Rd] = m.loadWord(c, a, true, ClassHeap)
+		r[in.Rd] = v
 	case isa.SW:
-		a := mem.Addr(r[in.Rs] + in.Imm)
-		if !m.Mem.InRange(a) {
-			m.dataFaultAt(c, a, true)
+		m.storeWord(c, mem.Addr(r[in.Rs]+in.Imm), r[in.Rt], ClassHeap)
+		if c.faulted {
 			return
 		}
-		m.storeWord(c, a, r[in.Rt], ClassHeap)
 
 	// Control flow.
 	case isa.BEQ:
@@ -359,6 +346,9 @@ func (m *Machine) exec(c *CPU) {
 			return
 		}
 		ref, gcNeeded := m.Runtime.Alloc(m, c.ID, in.Imm)
+		if c.faulted {
+			return
+		}
 		if gcNeeded {
 			m.requestGC(c)
 			return
@@ -376,6 +366,9 @@ func (m *Machine) exec(c *CPU) {
 			return
 		}
 		ref, gcNeeded := m.Runtime.AllocArray(m, c.ID, n)
+		if c.faulted {
+			return
+		}
 		if gcNeeded {
 			m.requestGC(c)
 			return
@@ -388,12 +381,18 @@ func (m *Machine) exec(c *CPU) {
 			return
 		}
 		m.Runtime.MonitorEnter(m, c.ID, r[in.Rs])
+		if c.faulted {
+			return
+		}
 	case isa.MONEXIT:
 		if r[in.Rs] == 0 {
 			m.trap(c, isa.ExNullPointer, 0)
 			return
 		}
 		m.Runtime.MonitorExit(m, c.ID, r[in.Rs])
+		if c.faulted {
+			return
+		}
 	case isa.THROW:
 		m.trap(c, isa.ExUser, r[in.Rs])
 		return
@@ -409,6 +408,9 @@ func (m *Machine) exec(c *CPU) {
 			return
 		}
 		length := m.loadWord(c, mem.Addr(ref+2), false, ClassHeap)
+		if c.faulted {
+			return
+		}
 		if idx := r[in.Rt]; idx < 0 || idx >= length {
 			m.trap(c, isa.ExArrayBounds, 0)
 			return
@@ -656,7 +658,11 @@ func (m *Machine) resolveHandler(c *CPU, depth int, methodID int, target int, re
 		// stored in its prologue (its epilogue will never run).
 		meth := m.Image.Method(c.MethodID)
 		for i, reg := range meth.SavedRegs {
-			c.Regs[reg] = m.loadWord(c, mem.Addr(c.Regs[isa.FP]+meth.SaveBase+int64(i)), false, ClassHeap)
+			v := m.loadWord(c, mem.Addr(c.Regs[isa.FP]+meth.SaveBase+int64(i)), false, ClassHeap)
+			if c.faulted {
+				return
+			}
+			c.Regs[reg] = v
 		}
 		f := c.frames[len(c.frames)-1]
 		c.frames = c.frames[:len(c.frames)-1]

@@ -65,6 +65,12 @@ type CPU struct {
 	gcAttempts      int // consecutive collections for the same allocation
 
 	extra int64 // memory/runtime cycles accumulated by the current instruction
+
+	// faulted latches an out-of-range data access in the current
+	// instruction: the fault has been disposed of (parked or failed), later
+	// accesses in the same instruction are dropped, and exec returns
+	// before any register or pc writeback. Reset at each instruction.
+	faulted bool
 }
 
 // exKindMemFault is the pendingExKind sentinel for a deferred out-of-range
@@ -322,12 +328,18 @@ func NewMachine(img *Image, rt Runtime, opts Options) *Machine {
 }
 
 // Release returns the machine's pooled resources — the simulated memory and
-// the tracer's flat timestamp tables — for reuse by the next machine. Results
-// already extracted (cycle counts, outputs, tracer loop statistics) stay
-// valid; the machine itself must not run or be read afterwards.
+// caches, the TLS unit's speculative buffers and the tracer's timestamp
+// tables — for reuse by the next machine. Results already extracted (cycle
+// counts, outputs, TLS counters, tracer loop statistics) stay valid; the
+// machine itself must not run or be read afterwards.
 func (m *Machine) Release() {
 	if m.Tracer != nil {
 		m.Tracer.Release()
+	}
+	m.TLS.Release()
+	if m.Caches != nil {
+		m.Caches.Release()
+		m.Caches = nil
 	}
 	if m.Mem != nil {
 		if m.heapLazy {
@@ -379,16 +391,12 @@ func (m *Machine) Injector() *faultinject.Injector { return m.inj }
 
 // Run executes until the program halts or maxCycles elapse. All abnormal
 // terminations surface as typed errors (see errors.go); a panic escaping the
-// simulator core is itself a bug, but the recover backstop converts it to
-// ErrInternal rather than crash the embedding process.
+// simulator core is itself a bug, but this recover — the only one in the
+// core — converts it to ErrInternal rather than crash the embedding process.
 func (m *Machine) Run(maxCycles int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if f, ok := r.(*mem.Fault); ok {
-				m.fail(fmt.Errorf("%w: unguarded memory access: %v", ErrInternal, f))
-			} else {
-				m.fail(fmt.Errorf("%w: panic: %v", ErrInternal, r))
-			}
+			m.fail(fmt.Errorf("%w: panic: %v", ErrInternal, r))
 			err = m.err
 		}
 	}()
@@ -648,40 +656,19 @@ func (m *Machine) guardOnExit() {
 	}
 }
 
-// dataFault routes an out-of-range data access (a *mem.Fault recovered at
-// the instruction boundary). A speculative non-head thread parks it like a
+// dataFaultAt disposes of an out-of-range data access and latches it on
+// the CPU (see CPU.faulted). A speculative non-head thread parks it like a
 // deferred exception (§5.1): the wild address may be the product of a
 // wrong-path value an older thread's store will soon squash. An access that
 // reaches architectural execution is a genuine program fault and halts the
 // machine with a typed MemFault.
-func (m *Machine) dataFault(c *CPU, f *mem.Fault) {
-	mf := &MemFault{
-		CPU: c.ID, Cycle: m.Clock, Addr: f.Addr, Write: f.Write,
-		Method: m.Image.Method(c.MethodID).Name, PC: c.PC,
-	}
-	c.extra = 0
-	if m.TLS.Active() && !m.TLS.IsHead(c.ID) {
-		c.pendingFault = mf
-		c.pendingExKind = exKindMemFault
-		c.state = stateWaitException
-		m.recWait(c, obs.WaitException)
-		m.wait(c)
-		return
-	}
-	m.fail(mf)
-}
-
-// dataFaultAt is the panic-free route for a wild data access caught by an
-// explicit bounds check in the dispatch loop: same disposition as dataFault,
-// without materializing a *mem.Fault or unwinding through panic/recover —
-// speculative wrong-path wild addresses are common enough that the unwind
-// machinery showed up in profiles.
 func (m *Machine) dataFaultAt(c *CPU, a mem.Addr, write bool) {
 	mf := &MemFault{
 		CPU: c.ID, Cycle: m.Clock, Addr: a, Write: write,
 		Method: m.Image.Method(c.MethodID).Name, PC: c.PC,
 	}
 	c.extra = 0
+	c.faulted = true
 	if m.TLS.Active() && !m.TLS.IsHead(c.ID) {
 		c.pendingFault = mf
 		c.pendingExKind = exKindMemFault
@@ -693,10 +680,9 @@ func (m *Machine) dataFaultAt(c *CPU, a mem.Addr, write bool) {
 	m.fail(mf)
 }
 
-// wildLoad handles a bounds-checked faulting load. The hardware load buffer
-// latches the exposed read before the bus access resolves, so the tracking
-// side effect happens even though no data transfers (matching what Unit.Load
-// did before it faulted).
+// wildLoad handles a faulting load. The hardware load buffer latches the
+// exposed read before the bus access resolves, so the tracking side effect
+// happens even though no data transfers.
 func (m *Machine) wildLoad(c *CPU, a mem.Addr, noViolate bool) {
 	if m.TLS.Active() && !noViolate {
 		m.TLS.TrackRead(c.ID, a)
@@ -757,8 +743,18 @@ func (m *Machine) recordMemLat(c *CPU, a mem.Addr, lat int64) {
 }
 
 // loadWord performs a data load, speculative or not, charging latency into
-// the current instruction and informing the profiler.
+// the current instruction and informing the profiler. An out-of-range
+// address takes the fault disposition and latches it; a load after the
+// latch in the same instruction does nothing. Either way it returns 0, and
+// the caller must check c.faulted before writing the value back.
 func (m *Machine) loadWord(c *CPU, a mem.Addr, noViolate bool, cls AddrClass) int64 {
+	if c.faulted {
+		return 0
+	}
+	if !m.Mem.InRange(a) {
+		m.wildLoad(c, a, noViolate)
+		return 0
+	}
 	if m.TLS.Active() {
 		v, lat := m.TLS.Load(c.ID, a, noViolate)
 		c.extra += lat
@@ -787,13 +783,18 @@ func (m *Machine) loadWord(c *CPU, a mem.Addr, noViolate bool, cls AddrClass) in
 
 // storeWord performs a data store; speculative stores may violate younger
 // threads, which are redirected to the STL restart point. Out-of-range
-// addresses must be rejected before buffering — a buffered wild store would
-// only fault at drain time, after the commit partially applied.
+// addresses are rejected before buffering — a buffered wild store would
+// only fault at drain time, after the commit partially applied — and
+// latched as in loadWord; a latched instruction's stores do nothing.
 func (m *Machine) storeWord(c *CPU, a mem.Addr, v int64, cls AddrClass) {
+	if c.faulted {
+		return
+	}
+	if !m.Mem.InRange(a) {
+		m.dataFaultAt(c, a, true)
+		return
+	}
 	if m.TLS.Active() {
-		if !m.Mem.InRange(a) {
-			panic(&mem.Fault{Addr: a, Size: 1, Write: true})
-		}
 		lat, violated, err := m.TLS.Store(c.ID, a, v)
 		if err != nil {
 			m.fail(err)

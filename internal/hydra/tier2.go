@@ -2,7 +2,6 @@ package hydra
 
 import (
 	"fmt"
-	"sync"
 
 	"jrpm/internal/isa"
 	"jrpm/internal/tls"
@@ -177,8 +176,8 @@ type t2method struct {
 }
 
 // tier2 is the per-machine block cache and compile arena. Blocks and op
-// arrays are bump-allocated from chunked slabs whose storage survives in a
-// sync.Pool across machines, so steady-state runs compile into warm memory
+// arrays are bump-allocated from chunked slabs whose storage survives on a
+// free list across machines, so steady-state runs compile into warm memory
 // and the dispatch loop allocates nothing.
 type tier2 struct {
 	gen       uint64
@@ -195,13 +194,21 @@ const (
 	t2BlkChunk = 512
 )
 
-var t2Pool = sync.Pool{New: func() any { return new(tier2) }}
+// t2Free recycles arenas between machines: a bounded channel rather than a
+// sync.Pool, which the garbage collector empties at every cycle (see mem's
+// free list). It holds one arena per pooled simulated memory.
+var t2Free = make(chan *tier2, 4)
 
-// t2acquire takes a tier2 from the pool and starts a fresh generation: all
-// cached blocks become stale by stamp, slab cursors rewind, and the warm
-// chunk storage is reused in place.
+// t2acquire takes a recycled tier2 (or a new one) and starts a fresh
+// generation: all cached blocks become stale by stamp, slab cursors rewind,
+// and the warm chunk storage is reused in place.
 func t2acquire() *tier2 {
-	t := t2Pool.Get().(*tier2)
+	var t *tier2
+	select {
+	case t = <-t2Free:
+	default:
+		t = new(tier2)
+	}
 	t.gen++
 	t.opCur, t.blkCur = 0, 0
 	for i := range t.opChunks {
@@ -213,7 +220,12 @@ func t2acquire() *tier2 {
 	return t
 }
 
-func (t *tier2) release() { t2Pool.Put(t) }
+func (t *tier2) release() {
+	select {
+	case t2Free <- t:
+	default: // free list full; let the collector take it
+	}
+}
 
 // allocBlock bump-allocates one block struct. Chunks are never reallocated
 // once created, so returned pointers stay valid for the generation.

@@ -14,37 +14,15 @@
 // cycles, main memory 50 cycles.
 package mem
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Addr is a word address.
 type Addr uint32
 
-// ErrOutOfRange is the sentinel all out-of-range access faults unwrap to.
+// ErrOutOfRange is the sentinel every out-of-range data access fault unwraps
+// to. The memory itself never raises it: the machine layer checks InRange
+// before each access and reports the fault with cpu/cycle context.
 var ErrOutOfRange = errors.New("mem: address out of range")
-
-// Fault is the typed error raised by an out-of-range memory access. The
-// machine layer wraps it with cpu/cycle context before surfacing it through
-// Machine.Run.
-type Fault struct {
-	Addr  Addr
-	Size  int
-	Write bool
-}
-
-// Error renders the fault.
-func (f *Fault) Error() string {
-	op := "read"
-	if f.Write {
-		op = "write"
-	}
-	return fmt.Sprintf("mem: %s at %d beyond memory of %d words", op, f.Addr, f.Size)
-}
-
-// Unwrap makes errors.Is(f, ErrOutOfRange) true.
-func (f *Fault) Unwrap() error { return ErrOutOfRange }
 
 // Geometry and latency constants (paper Figure 2).
 const (
@@ -189,25 +167,17 @@ func (m *Memory) ReleaseKeepStale(keep Addr) {
 // Size returns the memory size in words.
 func (m *Memory) Size() int { return len(m.words) }
 
-// InRange reports whether a is a valid word address. Callers on paths that
-// must stay panic-free (the simulator core) check before accessing.
+// InRange reports whether a is a valid word address. The simulator core
+// checks it before every load and store it simulates; Read and Write
+// assume it holds.
 func (m *Memory) InRange(a Addr) bool { return int(a) < len(m.words) }
 
-// Read returns the word at a. An out-of-range address panics with a typed
-// *Fault; the machine layer bounds-checks first and treats any residual
-// fault as a simulator bug surfaced through its recover backstop.
-func (m *Memory) Read(a Addr) int64 {
-	if int(a) >= len(m.words) {
-		panic(&Fault{Addr: a, Size: len(m.words)})
-	}
-	return m.words[a]
-}
+// Read returns the word at a, which must be in range (an out-of-range index
+// is a simulator bug, caught by the machine's single recover backstop).
+func (m *Memory) Read(a Addr) int64 { return m.words[a] }
 
-// Write stores v at a. Out-of-range panics with a typed *Fault, as Read.
+// Write stores v at a, which must be in range, as for Read.
 func (m *Memory) Write(a Addr, v int64) {
-	if int(a) >= len(m.words) {
-		panic(&Fault{Addr: a, Size: len(m.words), Write: true})
-	}
 	m.words[a] = v
 	if a < m.split {
 		if a >= m.loMax {
@@ -307,6 +277,13 @@ func (s *setAssoc) access(line Addr, fill bool) bool {
 	return false
 }
 
+// reset empties the array, as newSetAssoc leaves it.
+func (s *setAssoc) reset() {
+	clear(s.tags)
+	clear(s.lru)
+	s.clock = 0
+}
+
 // contains reports whether line is present without touching LRU state.
 func (s *setAssoc) contains(line Addr) bool {
 	set := s.setOf(line)
@@ -342,13 +319,40 @@ type CacheSim struct {
 	L1Hits, L1Misses, L2Hits, L2Misses int64
 }
 
-// NewCacheSim builds the cache hierarchy for cfg.
+// cacheFree recycles cache hierarchies between machine instances, for the
+// reason memFree does: the paper's 2 MB L2 alone is 512 kB of tag and LRU
+// arrays per machine. It holds as many as memFree, one per memory.
+var cacheFree = make(chan *CacheSim, 4)
+
+// NewCacheSim builds an empty cache hierarchy for cfg, reusing a released
+// one with the same geometry.
 func NewCacheSim(cfg CacheConfig) *CacheSim {
+	select {
+	case cs := <-cacheFree:
+		if cs.cfg == cfg {
+			for _, l1 := range cs.l1 {
+				l1.reset()
+			}
+			cs.l2.reset()
+			cs.L1Hits, cs.L1Misses, cs.L2Hits, cs.L2Misses = 0, 0, 0, 0
+			return cs
+		}
+	default:
+	}
 	cs := &CacheSim{cfg: cfg, l2: newSetAssoc(cfg.L2Lines, cfg.L2Assoc)}
 	for i := 0; i < cfg.NCPU; i++ {
 		cs.l1 = append(cs.l1, newSetAssoc(cfg.L1Lines, cfg.L1Assoc))
 	}
 	return cs
+}
+
+// Release returns the hierarchy to the free list. The caller must not touch
+// it afterwards.
+func (cs *CacheSim) Release() {
+	select {
+	case cacheFree <- cs:
+	default: // free list full; let the collector take it
+	}
 }
 
 // Config returns the geometry the simulator was built with.

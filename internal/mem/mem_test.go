@@ -121,3 +121,35 @@ func TestCachePropertyRepeatHit(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStateKeepsOnlyNonZeroPages: a capture holds the non-zero pages of the
+// low span only, and restoring it over stale words reproduces the memory.
+func TestStateKeepsOnlyNonZeroPages(t *testing.T) {
+	const size, split = 1 << 16, 1 << 15
+	src := NewMemory(size)
+	src.split = split
+	src.Write(3, 7)
+	src.Write(split-1, -1) // top of the low span: LoMax = split
+	src.Write(size-2, 9)   // high span
+	st := src.CaptureState()
+	if len(st.Low) != 2 || st.Low[0].Base != 0 || st.Low[1].Base != split-PageWords {
+		t.Fatalf("low pages = %d (bases %v), want the first and last page only", len(st.Low), st.Low)
+	}
+	dst := NewMemory(size)
+	dst.split = split
+	for a := Addr(0); a < split; a += 97 {
+		dst.Write(a, 5) // stale words a restore must overwrite
+	}
+	if err := dst.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	for a := Addr(0); a < size; a++ {
+		if dst.Read(a) != src.Read(a) {
+			t.Fatalf("word %d = %d after restore, want %d", a, dst.Read(a), src.Read(a))
+		}
+	}
+	st.Low[1].Base++ // misaligned
+	if err := dst.RestoreState(st); err == nil {
+		t.Fatal("a misaligned page restored without error")
+	}
+}

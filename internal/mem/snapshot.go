@@ -2,18 +2,30 @@ package mem
 
 import "fmt"
 
+// PageWords is the granularity of a State's sparse low span: 512 words,
+// 4 kB.
+const PageWords = 512
+
+// Page is one page of a State's low span holding at least one non-zero
+// word.
+type Page struct {
+	Base  Addr    // first word address, a multiple of PageWords
+	Words []int64 // words[Base : min(Base+PageWords, LoMax)]
+}
+
 // State is a deterministic capture of a Memory's observable contents: the
-// dirty-watermark spans on either side of the split, copied verbatim. Words
-// outside the spans are zero in any freshly pooled memory, and words inside
-// the low span that were never written by the owner are — by the HeapZeroer
+// dirty-watermark spans on either side of the split. Words outside the
+// spans are zero in any freshly pooled memory, and words inside the low
+// span that were never written by the owner are — by the HeapZeroer
 // discipline — never read, so restoring the spans reproduces every read the
-// resumed run can perform.
+// resumed run can perform. The low span reaches the top of the heap and is
+// almost all zero, so it is kept as its non-zero pages only.
 type State struct {
 	Size  int
 	Split Addr
 	LoMax Addr
 	HiMin Addr
-	Low   []int64 // words[0:LoMax]
+	Low   []Page  // the non-zero pages of words[0:LoMax], ascending
 	High  []int64 // words[HiMin:Size]
 }
 
@@ -26,7 +38,15 @@ func (m *Memory) CaptureState() State {
 		LoMax: m.loMax,
 		HiMin: m.hiMin,
 	}
-	st.Low = append([]int64(nil), m.words[:m.loMax]...)
+	for base := Addr(0); base < m.loMax; base += PageWords {
+		p := m.words[base:min(base+PageWords, m.loMax)]
+		for _, v := range p {
+			if v != 0 {
+				st.Low = append(st.Low, Page{Base: base, Words: append([]int64(nil), p...)})
+				break
+			}
+		}
+	}
 	st.High = append([]int64(nil), m.words[m.hiMin:]...)
 	return st
 }
@@ -41,13 +61,24 @@ func (m *Memory) RestoreState(st State) error {
 		return fmt.Errorf("mem: restore geometry mismatch: snapshot %d/%d words split %d/%d",
 			st.Size, len(m.words), st.Split, m.split)
 	}
-	if int(st.LoMax) != len(st.Low) || st.Size-int(st.HiMin) != len(st.High) {
+	if st.Size-int(st.HiMin) != len(st.High) {
 		return fmt.Errorf("mem: restore span lengths inconsistent with watermarks")
 	}
 	if st.LoMax > st.Split || st.HiMin < st.Split {
 		return fmt.Errorf("mem: restore watermarks cross the split")
 	}
-	copy(m.words[:st.LoMax], st.Low)
+	next := Addr(0)
+	for _, p := range st.Low {
+		if p.Base%PageWords != 0 || p.Base < next || p.Base >= st.LoMax ||
+			len(p.Words) != int(min(p.Base+PageWords, st.LoMax)-p.Base) {
+			return fmt.Errorf("mem: restore page at %d malformed or out of order", p.Base)
+		}
+		next = p.Base + PageWords
+	}
+	clear(m.words[:st.LoMax])
+	for _, p := range st.Low {
+		copy(m.words[p.Base:], p.Words)
+	}
 	copy(m.words[st.HiMin:], st.High)
 	// Zero anything the target dirtied above the snapshot's high watermark
 	// (a booted-but-unrestored machine could have touched stack words).

@@ -135,6 +135,44 @@ type thread struct {
 	// Tentative cycle accounting for the current attempt (flushed to
 	// StateStats on commit or violation).
 	run, wait, overhead int64
+
+	shape threadShape // buffer geometry, for recycling
+}
+
+// threadShape is the geometry a thread's buffers were built for: the
+// store buffer's runaway hard cap and the read sets' line capacity.
+type threadShape struct{ hardCap, readLineCap int }
+
+// threadFree recycles per-thread buffers between units: a unit's four
+// threads hold about 1 MB of tables, and every pipeline leg builds a unit.
+// Sixteen entries cover the four-CPU units of the two machines a pipeline
+// runs at once, with room for a second pipeline. A bounded channel rather
+// than a sync.Pool, as for mem's free list: the garbage collector empties a
+// sync.Pool at every cycle. The buffers are generation-stamped, so reuse
+// costs an O(1) reset.
+var threadFree = make(chan *thread, 16)
+
+// newThread returns an inactive thread with empty buffers of the given
+// shape, reusing a released one when the shape matches.
+func newThread(shape threadShape) *thread {
+	select {
+	case t := <-threadFree:
+		if t.shape == shape {
+			*t = thread{iter: -1, buf: t.buf, readWords: t.readWords, readLines: t.readLines, shape: shape}
+			t.resetSpecState()
+			return t
+		}
+		// Shape mismatch (a non-default configuration): let the collector
+		// take it.
+	default:
+	}
+	return &thread{
+		iter:      -1,
+		buf:       newStoreBuffer(shape.hardCap),
+		readWords: newAddrSet(shape.readLineCap * mem.LineWords),
+		readLines: newAddrSet(shape.readLineCap),
+		shape:     shape,
+	}
 }
 
 func (t *thread) resetSpecState() {
@@ -187,16 +225,23 @@ func NewUnit(cfg Config, memory *mem.Memory, caches *mem.CacheSim) *Unit {
 	// Read-set sizing: the overflow-park protocol stalls a thread once its
 	// read-line count passes LoadBufferLines, so the sets see at most a few
 	// entries beyond that (they grow if a protocol path outruns the bound).
-	readLineCap := cfg.LoadBufferLines + 8
+	shape := threadShape{hardCap: u.hardCap, readLineCap: cfg.LoadBufferLines + 8}
 	for i := 0; i < cfg.NCPU; i++ {
-		u.threads = append(u.threads, &thread{
-			iter:      -1,
-			buf:       newStoreBuffer(u.hardCap),
-			readWords: newAddrSet(readLineCap * mem.LineWords),
-			readLines: newAddrSet(readLineCap),
-		})
+		u.threads = append(u.threads, newThread(shape))
 	}
 	return u
+}
+
+// Release returns the threads' buffers to the free list for the next unit.
+// The cumulative counters stay readable; the unit must not run afterwards.
+func (u *Unit) Release() {
+	for _, t := range u.threads {
+		select {
+		case threadFree <- t:
+		default: // free list full; let the collector take it
+		}
+	}
+	u.threads = nil
 }
 
 // Config returns the unit's configuration.

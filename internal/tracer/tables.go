@@ -11,12 +11,16 @@
 //     generation-stamped open-addressed CAMs.
 //
 // Every entry is generation-tagged, so "clearing" a table between profiling
-// runs is a single counter bump, and the two large flat tables are recycled
-// through a sync.Pool — a fresh Tracer costs neither a 33 MB allocation nor
-// a 33 MB memclr. Nothing on the per-access record path allocates.
+// runs is a single counter bump, and the two large flat tables (with the
+// local-variable CAM) are recycled through a bounded free list — a fresh
+// Tracer costs neither a 42 MB allocation nor a 42 MB memclr. The free
+// list is a channel rather than a sync.Pool because the garbage collector
+// empties a sync.Pool at every cycle, and the pipeline's allocation rate
+// triggers a cycle between most profiling runs. Nothing on the per-access
+// record path allocates.
 package tracer
 
-import "sync"
+import "jrpm/internal/mem"
 
 // PaperComparatorBanks is the number of TEST comparator banks (paper §3,
 // Figure 2): eight banks cover typical loop-nest depths. DefaultConfig and
@@ -38,28 +42,48 @@ type tsSlab struct {
 	gen     uint64
 }
 
-// tsPool recycles the two big flat tables across Tracer instances. Slabs of
-// the wrong size (a non-default machine geometry) are simply not reused.
-var tsPool = sync.Pool{}
-
-func newSlab(size int) *tsSlab {
-	if v := tsPool.Get(); v != nil {
-		s := v.(*tsSlab)
-		if len(s.entries) == size {
-			s.gen++
-			if s.gen >= tsGenMax {
-				clear(s.entries)
-				s.gen = 1
-			}
-			return s
-		}
-	}
-	return &tsSlab{entries: make([]uint64, size), gen: 1}
+// tsTables is one tracer's timestamp tables, recycled together.
+type tsTables struct {
+	store, line *tsSlab
+	local       *localCAM
 }
 
-func (s *tsSlab) release() {
-	if s != nil {
-		tsPool.Put(s)
+// tsFree recycles table sets across Tracer instances. A pipeline run has
+// one profiling leg, so two entries cover concurrent pipelines.
+var tsFree = make(chan tsTables, 2)
+
+// newTables returns empty tables for memWords words, reusing a released
+// set when the geometry matches (other sizes are left to the collector).
+func newTables(memWords int) tsTables {
+	lines := memWords/mem.LineWords + 1
+	select {
+	case t := <-tsFree:
+		if len(t.store.entries) == memWords && len(t.line.entries) == lines {
+			t.store.reuse()
+			t.line.reuse()
+			t.local.reset()
+			return t
+		}
+	default:
+	}
+	return tsTables{newSlab(memWords), newSlab(lines), newLocalCAM(1 << 12)}
+}
+
+func (t tsTables) release() {
+	select {
+	case tsFree <- t:
+	default: // free list full; let the collector take it
+	}
+}
+
+func newSlab(size int) *tsSlab { return &tsSlab{entries: make([]uint64, size), gen: 1} }
+
+// reuse empties a recycled slab by advancing its generation.
+func (s *tsSlab) reuse() {
+	s.gen++
+	if s.gen >= tsGenMax {
+		clear(s.entries)
+		s.gen = 1
 	}
 }
 
@@ -117,6 +141,15 @@ func newLocalCAM(capacity int) *localCAM {
 		gen:    make([]uint32, size),
 		vals:   make([]int64, size),
 		curGen: 1,
+	}
+}
+
+func (c *localCAM) reset() {
+	c.n = 0
+	c.curGen++
+	if c.curGen == 0 {
+		clear(c.gen)
+		c.curGen = 1
 	}
 }
 

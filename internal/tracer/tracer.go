@@ -268,11 +268,12 @@ func New(cfg Config) *Tracer {
 	if cfg.MemWords <= 0 {
 		cfg.MemWords = defaultMemWords
 	}
+	tabs := newTables(cfg.MemWords)
 	t := &Tracer{
 		cfg:     cfg,
-		storeTS: newSlab(cfg.MemWords),
-		lineTS:  newSlab(cfg.MemWords/mem.LineWords + 1),
-		localTS: newLocalCAM(1 << 12),
+		storeTS: tabs.store,
+		lineTS:  tabs.line,
+		localTS: tabs.local,
 		loops:   make(map[int64]*LoopStats),
 	}
 	for i := 0; i < cfg.NumBanks; i++ {
@@ -281,13 +282,14 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// Release returns the tracer's flat timestamp tables to the shared pool. The
+// Release returns the tracer's timestamp tables to the free list. The
 // accumulated loop statistics stay valid; the tracer must not observe any
 // further traffic.
 func (t *Tracer) Release() {
-	t.storeTS.release()
-	t.lineTS.release()
-	t.storeTS, t.lineTS = nil, nil
+	if t.storeTS != nil {
+		tsTables{t.storeTS, t.lineTS, t.localTS}.release()
+	}
+	t.storeTS, t.lineTS, t.localTS = nil, nil, nil
 }
 
 // Loops returns the accumulated per-loop statistics.
