@@ -147,6 +147,7 @@ func (s *selector) run() *Result {
 	s.resolveCallConflicts()
 	// Phase 4: multilevel pairing and final plan assembly.
 	sel := &jit.Selection{Plans: map[int64]*jit.Plan{}, NCPU: s.cfg.NCPU}
+	// order-insensitive: each selected decision is copied under its own id
 	for id, d := range s.decisions {
 		if d.Selected {
 			sel.Plans[id] = s.plans[id]
@@ -239,12 +240,15 @@ func (s *selector) evaluate(mi int, g *cfg.Graph, l *cfg.Loop) {
 	}
 	removed := map[uint32]bool{}
 	slotKey := func(slot int) uint32 { return uint32(mi)*256 + uint32(slot) }
+	// order-insensitive: set insertion
 	for slot := range plan.Inductors {
 		removed[slotKey(slot)] = true
 	}
+	// order-insensitive: set insertion
 	for slot := range plan.Resetable {
 		removed[slotKey(slot)] = true
 	}
+	// order-insensitive: set insertion
 	for slot := range plan.Reductions {
 		removed[slotKey(slot)] = true
 	}
@@ -257,12 +261,15 @@ func (s *selector) evaluate(mi int, g *cfg.Graph, l *cfg.Loop) {
 
 	// Thread synchronizing locks (§4.2.4): frequent, short local arcs.
 	optimized := map[int]bool{}
+	// order-insensitive: set insertion
 	for slot := range plan.Inductors {
 		optimized[slot] = true
 	}
+	// order-insensitive: set insertion
 	for slot := range plan.Resetable {
 		optimized[slot] = true
 	}
+	// order-insensitive: set insertion
 	for slot := range plan.Reductions {
 		optimized[slot] = true
 	}
@@ -354,7 +361,7 @@ func (s *selector) evaluate(mi int, g *cfg.Graph, l *cfg.Loop) {
 func (s *selector) syncEligible(g *cfg.Graph, l *cfg.Loop, slot int) bool {
 	first, last := -1, -1
 	var firstBlk, lastBlk int
-	for b := range l.Blocks {
+	for _, b := range l.BlockIDs {
 		blk := g.Blocks[b]
 		for pc := blk.Start; pc < blk.End; pc++ {
 			in := g.Method.Code[pc]
@@ -466,7 +473,9 @@ func (s *selector) resolveCallConflicts() {
 	for changed {
 		changed = false
 		for i := range callees {
+			// order-insensitive: transitive closure iterated to a fixpoint
 			for c := range callees[i] {
+				// order-insensitive: transitive closure iterated to a fixpoint
 				for cc := range callees[c] {
 					if !callees[i][cc] {
 						callees[i][cc] = true
@@ -481,12 +490,13 @@ func (s *selector) resolveCallConflicts() {
 		g := s.info.Graphs[d.MethodID]
 		l := g.Loops[d.LoopIndex]
 		out := map[int]bool{}
-		for b := range l.Blocks {
+		for _, b := range l.BlockIDs {
 			blk := g.Blocks[b]
 			for pc := blk.Start; pc < blk.End; pc++ {
 				in := g.Method.Code[pc]
 				if in.Op == bytecode.INVOKE {
 					out[int(in.A)] = true
+					// order-insensitive: set insertion
 					for cc := range callees[int(in.A)] {
 						out[cc] = true
 					}
@@ -495,13 +505,15 @@ func (s *selector) resolveCallConflicts() {
 		}
 		return out
 	}
+	// Ties in the saving keep loop-id order, not map order.
 	var selected []*LoopDecision
 	for _, d := range s.decisions {
 		if d.Selected {
 			selected = append(selected, d)
 		}
 	}
-	sort.Slice(selected, func(i, j int) bool {
+	sort.Slice(selected, func(i, j int) bool { return selected[i].LoopID < selected[j].LoopID })
+	sort.SliceStable(selected, func(i, j int) bool {
 		si := selected[i].Prediction.SeqCycles - selected[i].Prediction.ParCycles
 		sj := selected[j].Prediction.SeqCycles - selected[j].Prediction.ParCycles
 		return si > sj
@@ -527,6 +539,7 @@ func (s *selector) resolveCallConflicts() {
 
 func copyMap[K comparable, V any](m map[K]V) map[K]V {
 	out := make(map[K]V, len(m))
+	// order-insensitive: map copy
 	for k, v := range m {
 		out[k] = v
 	}
@@ -549,17 +562,22 @@ func (s *selector) reconcilePlans(sel *jit.Selection) {
 		}
 		forcedReg[mi][slot] = true
 	}
+	// order-insensitive: set insertion
 	for _, p := range sel.Plans {
+		// order-insensitive: set insertion
 		for slot := range p.Inductors {
 			mark(p.MethodID, slot)
 		}
+		// order-insensitive: set insertion
 		for slot := range p.Resetable {
 			mark(p.MethodID, slot)
 		}
+		// order-insensitive: set insertion
 		for slot := range p.Reductions {
 			mark(p.MethodID, slot)
 		}
 	}
+	// order-insensitive: each plan updates only its own fields and its own decision
 	for _, p := range sel.Plans {
 		var keep []int
 		for _, slot := range p.SyncSlots {
@@ -576,6 +594,7 @@ func (s *selector) reconcilePlans(sel *jit.Selection) {
 		p.SyncSlots = keep
 		sort.Ints(p.Comm)
 		if len(p.InnerSwitch) > 0 {
+			// order-insensitive: moves each entry between two maps keyed by slot
 			for slot, step := range p.Inductors {
 				p.Resetable[slot] = step
 				delete(p.Inductors, slot)
@@ -643,12 +662,15 @@ func (s *selector) pairMultilevel(sel *jit.Selection) {
 				Inner:      true,
 			}
 			opt := map[int]bool{}
+			// order-insensitive: set insertion
 			for slot := range c.Inductors {
 				opt[slot] = true
 			}
+			// order-insensitive: set insertion
 			for slot := range c.Resetable {
 				opt[slot] = true
 			}
+			// order-insensitive: set insertion
 			for slot := range c.Reductions {
 				opt[slot] = true
 			}

@@ -40,6 +40,7 @@ type Loop struct {
 	Index    int // per-method loop index
 	Header   int // block id
 	Blocks   map[int]bool
+	BlockIDs []int // the members of Blocks, ascending (iteration order)
 	Ends     []int // back-edge source block ids
 	Exits    []int // target block ids outside the loop
 	Parent   int   // enclosing loop index, or -1
@@ -47,14 +48,17 @@ type Loop struct {
 	Children []int
 
 	// Local-variable classification (slot ids).
-	Written    map[int]bool
-	Read       map[int]bool
-	Carried    []int
-	Invariant  []int
-	LiveOut    []int               // locals live after the loop exits
-	Inductors  map[int]int64       // slot → per-iteration step
-	Resetable  map[int]int64       // slot → step (extra conditional stores)
-	Reductions map[int]bytecode.Op // slot → accumulation op
+	Written   map[int]bool
+	Read      map[int]bool
+	Carried   []int
+	Invariant []int
+	LiveOut   []int         // locals live after the loop exits
+	Inductors map[int]int64 // slot → per-iteration step
+	Resetable map[int]int64 // slot → step (extra conditional stores)
+	// ResetAfterInc maps the pc of each such conditional store to whether
+	// the slot's increment has already run in that iteration when it does.
+	ResetAfterInc map[int]bool
+	Reductions    map[int]bytecode.Op // slot → accumulation op
 
 	// Behaviour flags (transitive through calls).
 	HasIO      bool // contains a system call; cannot be speculated
@@ -281,12 +285,16 @@ func (g *Graph) findLoops() {
 	for i, h := range headers {
 		l := byHeader[h]
 		l.Index = i
+		for b := range l.Blocks {
+			l.BlockIDs = append(l.BlockIDs, b)
+		}
+		sort.Ints(l.BlockIDs)
 		g.Loops = append(g.Loops, l)
 	}
 	// Exits.
 	for _, l := range g.Loops {
 		seen := map[int]bool{}
-		for b := range l.Blocks {
+		for _, b := range l.BlockIDs {
 			for _, s := range g.Blocks[b].Succs {
 				if !l.Blocks[s] && !seen[s] {
 					seen[s] = true
@@ -304,7 +312,7 @@ func (g *Graph) findLoops() {
 				continue
 			}
 			contains := true
-			for b := range l.Blocks {
+			for _, b := range l.BlockIDs {
 				if !o.Blocks[b] {
 					contains = false
 					break

@@ -44,6 +44,7 @@ func (g *Graph) computeLiveness(p *bytecode.Program) {
 			b := g.Blocks[i]
 			out := g.liveOut[i]
 			for _, s := range b.Succs {
+				// order-insensitive: dataflow set union iterated to a fixpoint
 				for slot := range g.liveIn[s] {
 					if !out[slot] {
 						out[slot] = true
@@ -52,12 +53,14 @@ func (g *Graph) computeLiveness(p *bytecode.Program) {
 				}
 			}
 			in := g.liveIn[i]
+			// order-insensitive: dataflow set union iterated to a fixpoint
 			for slot := range use[i] {
 				if !in[slot] {
 					in[slot] = true
 					changed = true
 				}
 			}
+			// order-insensitive: dataflow set union iterated to a fixpoint
 			for slot := range out {
 				if !def[i][slot] && !in[slot] {
 					in[slot] = true
@@ -85,10 +88,10 @@ func (g *Graph) classifyLoop(p *bytecode.Program, l *Loop) {
 	l.Inductors = map[int]int64{}
 	l.Resetable = map[int]int64{}
 	l.Reductions = map[int]bytecode.Op{}
+	l.ResetAfterInc = map[int]bool{}
 
-	type storeSite struct{ block, pc int }
 	stores := map[int][]storeSite{}
-	for b := range l.Blocks {
+	for _, b := range l.BlockIDs {
 		blk := g.Blocks[b]
 		for pc := blk.Start; pc < blk.End; pc++ {
 			in := code[pc]
@@ -127,6 +130,7 @@ func (g *Graph) classifyLoop(p *bytecode.Program, l *Loop) {
 	// LiveOut: written locals live at some loop exit.
 	liveExit := map[int]bool{}
 	for _, e := range l.Exits {
+		// order-insensitive: set insertion
 		for s := range g.liveIn[e] {
 			liveExit[s] = true
 		}
@@ -175,16 +179,31 @@ func (g *Graph) classifyLoop(p *bytecode.Program, l *Loop) {
 		if len(otherSites) == 0 {
 			l.Inductors[s] = step
 		} else {
-			// Extra stores must all be conditional (off the dominating path).
+			// Extra stores must all be conditional (off the dominating path),
+			// and each must run either always after the increment or always
+			// before it in its iteration: the reset names the iteration whose
+			// start value it stores, which differs by one between the two.
+			inc := incSites[0]
 			conditional := true
+			after := map[int]bool{}
 			for _, site := range otherSites {
 				if dominatesEnds(site.block) {
 					conditional = false
 					break
 				}
+				a, ok := g.incrementBefore(l, inc, site)
+				if !ok {
+					conditional = false
+					break
+				}
+				after[site.pc] = a
 			}
 			if conditional {
 				l.Resetable[s] = step
+				// order-insensitive: map copy
+				for pc, a := range after {
+					l.ResetAfterInc[pc] = a
+				}
 			}
 		}
 	}
@@ -202,6 +221,40 @@ func (g *Graph) classifyLoop(p *bytecode.Program, l *Loop) {
 			l.Reductions[s] = op
 		}
 	}
+}
+
+// storeSite is one store to a local inside a loop.
+type storeSite struct{ block, pc int }
+
+// incrementBefore reports whether a loop's per-iteration increment at inc
+// has always executed when control reaches the conditional store at site
+// in the same iteration (after), or never has (ok with after false). ok is
+// false when it depends on the path: the store is reachable both without
+// the increment and from it.
+func (g *Graph) incrementBefore(l *Loop, inc, site storeSite) (after, ok bool) {
+	if inc.block == site.block {
+		return inc.pc < site.pc, true
+	}
+	if g.Dominates(inc.block, site.block) {
+		return true, true
+	}
+	// Search forward from the increment without crossing the back edge.
+	seen := map[int]bool{inc.block: true}
+	work := []int{inc.block}
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, s := range g.Blocks[b].Succs {
+			if s == site.block {
+				return false, false
+			}
+			if s != l.Header && l.Blocks[s] && !seen[s] {
+				seen[s] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return false, true
 }
 
 // IncrementStep recognizes the two inductor increment shapes ending at pc
@@ -257,7 +310,7 @@ const (
 func (g *Graph) reductionOp(p *bytecode.Program, l *Loop, s int) (bytecode.Op, bool) {
 	var op bytecode.Op
 	updates := 0
-	for b := range l.Blocks {
+	for _, b := range l.BlockIDs {
 		blk := g.Blocks[b]
 		var stack []int
 		for pc := blk.Start; pc < blk.End; pc++ {

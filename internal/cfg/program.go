@@ -81,7 +81,7 @@ func AnalyzeProgram(p *bytecode.Program) *ProgramInfo {
 	for mi, g := range info.Graphs {
 		_ = mi
 		for _, l := range g.Loops {
-			for b := range l.Blocks {
+			for _, b := range l.BlockIDs {
 				blk := g.Blocks[b]
 				for pc := blk.Start; pc < blk.End; pc++ {
 					in := g.Method.Code[pc]

@@ -291,7 +291,7 @@ func (m *Machine) exec(c *CPU) {
 		} else {
 			c.state = stateWaitEOI
 			m.recWait(c, obs.WaitEOI)
-			m.wait(c)
+			m.park(c)
 		}
 		return
 	case isa.STLSHUTDOWN:
@@ -300,7 +300,7 @@ func (m *Machine) exec(c *CPU) {
 		} else {
 			c.state = stateWaitShutdown
 			m.recWait(c, obs.WaitShutdown)
-			m.wait(c)
+			m.park(c)
 		}
 		return
 	case isa.STLSWSTART:
@@ -313,7 +313,7 @@ func (m *Machine) exec(c *CPU) {
 		} else {
 			c.state = stateWaitSwitchIn
 			m.recWait(c, obs.WaitSwitchIn)
-			m.wait(c)
+			m.park(c)
 		}
 		return
 	case isa.STLSWEND:
@@ -322,7 +322,7 @@ func (m *Machine) exec(c *CPU) {
 		} else {
 			c.state = stateWaitSwitchOut
 			m.recWait(c, obs.WaitSwitchOut)
-			m.wait(c)
+			m.park(c)
 		}
 		return
 	case isa.MFC2:
@@ -420,7 +420,7 @@ func (m *Machine) exec(c *CPU) {
 			c.pendingIO = r[in.Rs]
 			c.state = stateWaitIO
 			m.recWait(c, obs.WaitIO)
-			m.wait(c)
+			m.park(c)
 			return
 		}
 		m.Output = append(m.Output, r[in.Rs])
@@ -446,28 +446,35 @@ func (m *Machine) exec(c *CPU) {
 		m.TLS.ChargeAttemptDiag(c.ID, tls.ChargeRun, total)
 	}
 	if c.overflowPending && m.TLS.Active() {
+		m.overflowAfter(c)
+	}
+}
+
+// overflowAfter handles a speculative buffer overflow raised by the
+// instruction that just executed: the head drains in place, any other
+// thread stalls until it becomes the head.
+func (m *Machine) overflowAfter(c *CPU) {
+	if m.rec != nil {
+		kind := obs.EvLoadOverflow
+		if m.TLS.StoreOverflow(c.ID) {
+			kind = obs.EvStoreOverflow
+		}
+		m.record(kind, c.ID, m.TLS.Iteration(c.ID), m.stlLoopID())
+	}
+	if m.TLS.IsHead(c.ID) {
+		newEpisode, err := m.TLS.DrainOverflow(c.ID)
+		if err != nil {
+			m.fail(err)
+			return
+		}
+		m.noteOverflow(newEpisode)
+		c.overflowPending = false
 		if m.rec != nil {
-			kind := obs.EvLoadOverflow
-			if m.TLS.StoreOverflow(c.ID) {
-				kind = obs.EvStoreOverflow
-			}
-			m.record(kind, c.ID, m.TLS.Iteration(c.ID), m.stlLoopID())
+			m.record(obs.EvOverflowDrain, c.ID, m.TLS.Iteration(c.ID), m.stlLoopID())
 		}
-		if m.TLS.IsHead(c.ID) {
-			newEpisode, err := m.TLS.DrainOverflow(c.ID)
-			if err != nil {
-				m.fail(err)
-				return
-			}
-			m.noteOverflow(newEpisode)
-			c.overflowPending = false
-			if m.rec != nil {
-				m.record(obs.EvOverflowDrain, c.ID, m.TLS.Iteration(c.ID), m.stlLoopID())
-			}
-		} else {
-			c.state = stateWaitOverflow
-			m.recWait(c, obs.WaitOverflow)
-		}
+	} else {
+		c.state = stateWaitOverflow
+		m.recWait(c, obs.WaitOverflow)
 	}
 }
 
@@ -560,7 +567,7 @@ func (m *Machine) requestGC(c *CPU) {
 	if m.TLS.Active() && !m.TLS.IsHead(c.ID) {
 		c.state = stateWaitGC
 		m.recWait(c, obs.WaitGC)
-		m.wait(c)
+		m.park(c)
 		return
 	}
 	m.quiesceForGC(c)
@@ -586,7 +593,7 @@ func (m *Machine) trap(c *CPU, kind int64, ref int64) {
 		c.pendingExRef = ref
 		c.state = stateWaitException
 		m.recWait(c, obs.WaitException)
-		m.wait(c)
+		m.park(c)
 		return
 	}
 	m.dispatchException(c, kind, ref)
@@ -634,6 +641,7 @@ func (m *Machine) resolveHandler(c *CPU, depth int, methodID int, target int, re
 				return
 			}
 			for _, k := range killed {
+				m.materialize(m.CPUs[k])
 				m.CPUs[k].state = stateIdle
 			}
 			if m.rec != nil {

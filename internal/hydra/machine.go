@@ -30,6 +30,10 @@ const (
 	stateHalted
 )
 
+// numWaitStates counts the head-wait states stateWaitEOI..stateWaitSwitchOut,
+// which follow the obs.Wait* reason order.
+const numWaitStates = int(stateWaitSwitchOut-stateWaitEOI) + 1
+
 // frame is one call-stack entry (return linkage kept machine-side; frame
 // data itself lives in simulated memory addressed off $fp).
 type frame struct {
@@ -71,6 +75,18 @@ type CPU struct {
 	// accesses in the same instruction are dropped, and exec returns
 	// before any register or pc writeback. Reset at each instruction.
 	faulted bool
+
+	// Pending work of the event-driven speculative scheduler (sched.go):
+	// a parked head-wait whose polls from parkAt on are not yet charged,
+	// and a register run executed ahead of its cycles.
+	parked bool
+	parkAt int64
+	run    regRun
+	// blk/bi cache the speculative block and op index at pc blkPC, where
+	// the last register run stopped (nil when unknown).
+	blk   *t2block
+	bi    int
+	blkPC int
 }
 
 // exKindMemFault is the pendingExKind sentinel for a deferred out-of-range
@@ -224,6 +240,16 @@ type Machine struct {
 	t2resume     bool
 	t2resumeLast *t2block
 
+	// Event-driven scheduler state (sched.go): the run's cycle budget, the
+	// CPU being stepped (-1 between steps), the number of parked CPUs and
+	// counts of its rare events.
+	maxCycles int64
+	actor     int
+	nparked   int
+	sched     schedStats
+	// Parks counts parked head-waits per wait reason (obs.Wait* order).
+	Parks [numWaitStates]int64
+
 	curSTL        *STLDesc
 	outerSTL      *STLDesc
 	outerResume   int64
@@ -282,6 +308,7 @@ func NewMachine(img *Image, rt Runtime, opts Options) *Machine {
 		m.t2 = t2acquire()
 	}
 	m.TLS = tls.NewUnit(tlsCfg, m.Mem, m.Caches)
+	m.TLS.SetFlushHook(m.settleAll)
 	if opts.Ledger != nil {
 		m.led = opts.Ledger
 		m.led.SetSymbolizer(m.symbolizeAddr)
@@ -406,10 +433,20 @@ func (m *Machine) Run(maxCycles int64) (err error) {
 	if !m.booted && !m.halted {
 		m.Boot()
 	}
+	m.maxCycles = maxCycles
+	m.schedule(maxCycles)
+	m.settleStop()
+	return m.err
+}
+
+// schedule is Run's scheduler loop; it returns once the machine halts.
+func (m *Machine) schedule(maxCycles int64) {
 	for !m.halted {
+		m.actor = -1
 		next := int64(math.MaxInt64)
 		active := 0
-		var solo *CPU
+		var solo, first *CPU
+		alone := false // first is the only CPU due at next
 		for _, c := range m.CPUs {
 			if c.state == stateIdle || c.state == stateHalted {
 				continue
@@ -417,22 +454,37 @@ func (m *Machine) Run(maxCycles int64) (err error) {
 			active++
 			solo = c
 			if c.readyAt < next {
-				next = c.readyAt
+				next, first, alone = c.readyAt, c, true
+			} else if c.readyAt == next {
+				alone = false
+			}
+		}
+		if m.nparked > 0 {
+			// Parked CPUs would poll every cycle: the budget and poll edges
+			// must be visited exactly.
+			if maxCycles < math.MaxInt64 && maxCycles+1 < next {
+				next = maxCycles + 1
+			}
+			if m.ctxDone != nil && m.nextCtxCheck < next {
+				next = m.nextCtxCheck
+			}
+			if next == math.MaxInt64 {
+				active = 0 // every CPU waits for a head that cannot come
 			}
 		}
 		if active == 0 {
 			m.fail(fmt.Errorf("%w at cycle %d", ErrNoRunnableCPU, m.Clock))
-			return m.err
+			return
 		}
 		if next > m.Clock {
 			m.Clock = next
 		}
 		if m.Clock > maxCycles {
 			m.fail(fmt.Errorf("%w: budget %d, clock %d", ErrCycleBudgetExceeded, maxCycles, m.Clock))
-			return m.err
+			return
 		}
 		if m.ctxDone != nil && m.Clock >= m.nextCtxCheck && m.pollCancel() {
-			return m.err
+			return
 		}
 		// Serial-phase fast loop: with a single runnable CPU and speculation
 		// off, instructions dispatch back-to-back without rescanning the CPU
@@ -454,10 +506,10 @@ func (m *Machine) Run(maxCycles int64) (err error) {
 				}
 				if m.Clock > maxCycles {
 					m.fail(fmt.Errorf("%w: budget %d, clock %d", ErrCycleBudgetExceeded, maxCycles, m.Clock))
-					return m.err
+					return
 				}
 				if m.ctxDone != nil && m.Clock >= m.nextCtxCheck && m.pollCancel() {
-					return m.err
+					return
 				}
 				if m.ckpt != nil && m.Clock >= m.ckptNext {
 					m.checkpointNow(false, nil)
@@ -466,20 +518,47 @@ func (m *Machine) Run(maxCycles int64) (err error) {
 			}
 			continue
 		}
+		if alone {
+			// One CPU is due this cycle: no scan for the others.
+			if first.readyAt == m.Clock {
+				m.actor = first.ID
+				m.step(first)
+			}
+			continue
+		}
 		for _, c := range m.CPUs {
 			if m.halted {
 				break
 			}
 			if c.readyAt <= m.Clock {
+				m.actor = c.ID
 				m.step(c)
 			}
 		}
 	}
-	return m.err
 }
 
 // step advances one CPU according to its state.
 func (m *Machine) step(c *CPU) {
+	if m.t2 == nil || !m.TLS.Active() {
+		m.stepState(c)
+		return
+	}
+	if c.run.n > 0 {
+		m.settleOwn(c)
+	}
+	if c.state == stateRunning {
+		m.specStep(c)
+		return
+	}
+	m.stepState(c)
+	if c.state == stateRunning && !m.halted && m.TLS.Active() {
+		m.runRegs(c, nil, 0)
+	}
+}
+
+// stepState advances one CPU according to its state.
+func (m *Machine) stepState(c *CPU) {
 	switch c.state {
 	case stateRunning:
 		m.exec(c)
@@ -487,13 +566,13 @@ func (m *Machine) step(c *CPU) {
 		if m.TLS.IsHead(c.ID) {
 			m.commitEOI(c)
 		} else {
-			m.wait(c)
+			m.park(c)
 		}
 	case stateWaitShutdown:
 		if m.TLS.IsHead(c.ID) {
 			m.doShutdown(c)
 		} else {
-			m.wait(c)
+			m.park(c)
 		}
 	case stateWaitOverflow:
 		if m.TLS.IsHead(c.ID) {
@@ -513,7 +592,7 @@ func (m *Machine) step(c *CPU) {
 				m.record(obs.EvOverflowDrain, c.ID, m.TLS.Iteration(c.ID), m.stlLoopID())
 			}
 		} else {
-			m.waitAs(c, tls.ChargeWaitOverflow)
+			m.park(c)
 		}
 	case stateWaitException:
 		if m.TLS.IsHead(c.ID) {
@@ -528,7 +607,7 @@ func (m *Machine) step(c *CPU) {
 			c.state = stateRunning
 			m.dispatchException(c, kind, ref)
 		} else {
-			m.wait(c)
+			m.park(c)
 		}
 	case stateWaitIO:
 		if m.TLS.IsHead(c.ID) {
@@ -540,7 +619,7 @@ func (m *Machine) step(c *CPU) {
 				m.led.SpanIO(c.ID, m.Clock, c.readyAt)
 			}
 		} else {
-			m.wait(c)
+			m.park(c)
 		}
 	case stateWaitGC:
 		if m.TLS.IsHead(c.ID) {
@@ -557,19 +636,19 @@ func (m *Machine) step(c *CPU) {
 				m.led.SpanGC(c.ID, m.Clock, c.readyAt)
 			}
 		} else {
-			m.wait(c)
+			m.park(c)
 		}
 	case stateWaitSwitchIn:
 		if m.TLS.IsHead(c.ID) {
 			m.doSwitchIn(c)
 		} else {
-			m.wait(c)
+			m.park(c)
 		}
 	case stateWaitSwitchOut:
 		if m.TLS.IsHead(c.ID) {
 			m.doSwitchOut(c)
 		} else {
-			m.wait(c)
+			m.park(c)
 		}
 	}
 }
@@ -592,10 +671,7 @@ func (m *Machine) commitEOI(c *CPU) {
 			m.fail(err)
 			return
 		}
-		for _, k := range killed {
-			m.CPUs[k].state = stateIdle
-			m.CPUs[k].overflowPending = false
-		}
+		m.idle(killed)
 		if m.rec != nil {
 			m.record(obs.EvGuardDemote, c.ID, loopID, 0)
 			for _, k := range killed {
@@ -612,6 +688,9 @@ func (m *Machine) commitEOI(c *CPU) {
 	if err := m.TLS.CommitEOI(c.ID); err != nil {
 		m.fail(err)
 		return
+	}
+	if m.nparked > 0 {
+		m.wakeHead()
 	}
 	if m.rec != nil {
 		m.record(obs.EvCommit, c.ID, iter, loopID)
@@ -674,7 +753,7 @@ func (m *Machine) dataFaultAt(c *CPU, a mem.Addr, write bool) {
 		c.pendingExKind = exKindMemFault
 		c.state = stateWaitException
 		m.recWait(c, obs.WaitException)
-		m.wait(c)
+		m.park(c)
 		return
 	}
 	m.fail(mf)
@@ -688,21 +767,6 @@ func (m *Machine) wildLoad(c *CPU, a mem.Addr, noViolate bool) {
 		m.TLS.TrackRead(c.ID, a)
 	}
 	m.dataFaultAt(c, a, false)
-}
-
-// wait charges one cycle of head-wait time and re-polls next cycle.
-func (m *Machine) wait(c *CPU) { m.waitAs(c, tls.ChargeWait) }
-
-// waitAs is wait with an explicit charge kind, so overflow-stall parking is
-// distinguishable from ordinary commit waiting in the doctor's ledger (both
-// land in the same StateStats wait counter).
-func (m *Machine) waitAs(c *CPU, kind tls.ChargeKind) {
-	if m.led == nil {
-		m.TLS.ChargeAttempt(c.ID, kind, 1)
-	} else {
-		m.TLS.ChargeAttemptDiag(c.ID, kind, 1)
-	}
-	c.readyAt = m.Clock + 1
 }
 
 // record emits one flight-recorder event. Callers must have checked
@@ -893,6 +957,10 @@ func (m *Machine) redirectRestart(c *CPU) {
 		m.fail(&tls.ViolationStormError{Restarts: m.stormCount, LoopID: m.curSTL.LoopID})
 		return
 	}
+	if c.parked {
+		m.sched.parkedViolated++
+	}
+	m.materialize(c)
 	if m.Guard != nil {
 		m.Guard.OnViolation(m.curSTL.LoopID)
 	}
@@ -931,10 +999,7 @@ func (m *Machine) doShutdown(c *CPU) {
 		m.fail(err)
 		return
 	}
-	for _, k := range killed {
-		m.CPUs[k].state = stateIdle
-		m.CPUs[k].overflowPending = false
-	}
+	m.idle(killed)
 	m.Master = c.ID
 	shutdown := m.TLS.Config().Handlers.Shutdown
 	if m.curSTL != nil && m.curSTL.Hoisted && shutdown > HoistShutdownSaving {
@@ -1056,6 +1121,7 @@ func (m *Machine) deploySlaves(c *CPU, pc int, cost int64, sw bool) {
 		if sc.ID == c.ID {
 			continue
 		}
+		m.materialize(sc)
 		sc.Regs = c.Regs
 		sc.frames = append(sc.frames[:0], c.frames...)
 		sc.MethodID = c.MethodID
@@ -1075,6 +1141,16 @@ func (m *Machine) deploySlaves(c *CPU, pc int, cost int64, sw bool) {
 		if m.rec != nil {
 			m.record(obs.EvThreadSpawn, sc.ID, m.TLS.Iteration(sc.ID), m.stlLoopID())
 		}
+	}
+}
+
+// idle parks killed CPUs with no thread assigned.
+func (m *Machine) idle(killed []int) {
+	for _, k := range killed {
+		c := m.CPUs[k]
+		m.materialize(c)
+		c.state = stateIdle
+		c.overflowPending = false
 	}
 }
 

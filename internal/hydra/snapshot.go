@@ -441,7 +441,7 @@ func (m *Machine) restoreTier2(ts *TierCacheSnapshot) error {
 			if bs.Entry < 0 || int(bs.Entry) >= len(code) {
 				return fmt.Errorf("hydra: restore: tier-2 block entry %d out of range for method %d", bs.Entry, mid)
 			}
-			tm.blocks[bs.Entry] = t.compile(code, int(bs.Entry))
+			tm.blocks[bs.Entry] = t.compile(code, int(bs.Entry), false)
 		}
 		for _, bs := range ms.Blocks {
 			b := tm.blocks[bs.Entry]

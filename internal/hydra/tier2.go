@@ -162,6 +162,10 @@ type t2block struct {
 	entry  int32
 	endPC  int32 // fall-through pc; -1 when the terminal op sets PC itself
 	reason DemoteReason
+	// reg has bit i set when op i touches only registers and the pc (no
+	// memory traffic, no profiler hook): the ops a speculative register run
+	// may execute ahead of their cycles (see sched.go).
+	reg uint64
 	// Trace links: memoized successors so back-to-back blocks dispatch
 	// without a cache probe. succPC is -1 until linked.
 	succ   [2]*t2block
@@ -180,8 +184,13 @@ type t2method struct {
 // free list across machines, so steady-state runs compile into warm memory
 // and the dispatch loop allocates nothing.
 type tier2 struct {
-	gen       uint64
-	methods   []t2method
+	gen     uint64
+	methods []t2method
+	// spec is the block cache of speculative register runs. It is kept
+	// apart from methods so runs leave the serial engine's counters, trace
+	// links and checkpointed cache topology exactly as they would be
+	// without them.
+	spec      []t2method
 	opChunks  [][]t2op
 	opCur     int
 	blkChunks [][]t2block
@@ -271,13 +280,33 @@ func (t *tier2) persistOps(src []t2op) []t2op {
 // and caching it on first sight. Returns nil only for a pc outside the
 // method's code.
 func (t *tier2) lookup(m *Machine, c *CPU) *t2block {
-	mid := c.MethodID
-	if mid >= len(t.methods) {
-		grown := make([]t2method, mid+1)
-		copy(grown, t.methods)
-		t.methods = grown
+	b, compiled := t.find(false, m, c)
+	if b != nil {
+		if compiled {
+			m.Tier.CacheMisses++
+			m.Tier.BlocksCompiled++
+		} else {
+			m.Tier.CacheHits++
+		}
 	}
-	tm := &t.methods[mid]
+	return b
+}
+
+// find returns the block starting at the CPU's (MethodID, PC) in the serial
+// or the speculative cache, compiling it on first sight (compiled reports
+// that), or nil for a pc outside the method's code.
+func (t *tier2) find(spec bool, m *Machine, c *CPU) (b *t2block, compiled bool) {
+	tab := &t.methods
+	if spec {
+		tab = &t.spec
+	}
+	mid := c.MethodID
+	if mid >= len(*tab) {
+		grown := make([]t2method, mid+1)
+		copy(grown, *tab)
+		*tab = grown
+	}
+	tm := &(*tab)[mid]
 	code := m.Image.Method(mid).Code
 	if tm.gen != t.gen {
 		tm.gen = t.gen
@@ -292,17 +321,14 @@ func (t *tier2) lookup(m *Machine, c *CPU) *t2block {
 	}
 	pc := c.PC
 	if pc < 0 || pc >= len(tm.blocks) {
-		return nil
+		return nil, false
 	}
-	if b := tm.blocks[pc]; b != nil {
-		m.Tier.CacheHits++
-		return b
+	if b = tm.blocks[pc]; b != nil {
+		return b, false
 	}
-	m.Tier.CacheMisses++
-	m.Tier.BlocksCompiled++
-	b := t.compile(code, pc)
+	b = t.compile(code, pc, spec)
 	tm.blocks[pc] = b
-	return b
+	return b, true
 }
 
 // t2Fusable reports whether the instruction may join a block. MFC2 is only
@@ -337,8 +363,10 @@ func boundaryReason(op isa.Op) DemoteReason {
 
 // compile decodes the straight-line run starting at entry. A non-fusable
 // first instruction yields a boundary sentinel; otherwise ops accumulate
-// until a terminator, a boundary, or the block size cap.
-func (t *tier2) compile(code isa.Code, entry int) *t2block {
+// until a terminator, a boundary, or the block size cap. Blocks for
+// speculative runs (spec) fuse only register-only pairs, so every memory
+// op stands alone and the register ops around it stay runnable.
+func (t *tier2) compile(code isa.Code, entry int, spec bool) *t2block {
 	b := t.allocBlock()
 	b.entry = int32(entry)
 	if !t2Fusable(&code[entry]) {
@@ -358,6 +386,9 @@ func (t *tier2) compile(code isa.Code, entry int) *t2block {
 		adv := 1
 		if pc+1 < len(code) {
 			adv = t2Fuse(in, &code[pc+1], &o)
+			if spec && adv == 2 && in.Op != isa.LI {
+				adv = 1
+			}
 		}
 		if adv == 2 {
 			o.pc = int32(pc)
@@ -370,6 +401,8 @@ func (t *tier2) compile(code isa.Code, entry int) *t2block {
 		}
 		if tr.Has(isa.TraitMem) {
 			b.nmem++
+		} else if !in.Op.IsAnnotation() {
+			b.reg |= 1 << len(ops)
 		}
 		b.static += o.cost
 		ops = append(ops, o)
@@ -572,7 +605,7 @@ func BlockLayout(img *Image, methodID int) []BlockInfo {
 	code := img.Method(methodID).Code
 	var out []BlockInfo
 	for pc := 0; pc < len(code); {
-		b := t.compile(code, pc)
+		b := t.compile(code, pc, false)
 		info := BlockInfo{EntryPC: pc, Cost: b.static, MemOps: int(b.nmem)}
 		if b.ops == nil {
 			info.Len = 1

@@ -152,12 +152,15 @@ func assignRegisters(g *cfg.Graph, m *bytecode.Method, mode Mode, plans []*Plan)
 	forcedReg := map[int]bool{}
 	forcedMem := map[int]bool{}
 	for _, p := range plans {
+		// order-insensitive: set insertion
 		for s := range p.Inductors {
 			forcedReg[s] = true
 		}
+		// order-insensitive: set insertion
 		for s := range p.Resetable {
 			forcedReg[s] = true
 		}
+		// order-insensitive: set insertion
 		for s := range p.Reductions {
 			forcedReg[s] = true
 		}
@@ -165,7 +168,7 @@ func assignRegisters(g *cfg.Graph, m *bytecode.Method, mode Mode, plans []*Plan)
 			forcedMem[s] = true
 		}
 	}
-	for s := range forcedReg {
+	for _, s := range sortedKeys(forcedReg) {
 		if forcedMem[s] {
 			return pl, fmt.Errorf("slot %d both register-forced and lock-protected", s)
 		}

@@ -166,6 +166,7 @@ func (lw *lowerer) compile() (*hydra.Method, error) {
 		})
 	}
 	// Finalize STL descriptors.
+	// order-insensitive: each STL finalizes only its own descriptor
 	for _, ctx := range lw.stls {
 		ctx.desc.InitPC = lw.b.LabelPC(lw.lbl("init", ctx.loop.Index))
 		ctx.desc.BodyStart = lw.b.LabelPC(lw.lbl("pre", ctx.loop.Index))
@@ -189,13 +190,17 @@ func (lw *lowerer) frameTable() []obs.FrameSlot {
 	for i := range lw.place.saved {
 		frame[lw.saveBase+int64(i)] = obs.FrameSlot{Kind: obs.SlotSaved, Index: int32(i)}
 	}
+	// order-insensitive: each frame offset is written exactly once
 	for _, ctx := range lw.stls {
+		// order-insensitive: each frame offset is written exactly once
 		for s, off := range ctx.resetAt {
 			frame[off] = obs.FrameSlot{Kind: obs.SlotResetBase, Index: int32(s)}
 		}
+		// order-insensitive: each frame offset is written exactly once
 		for s, off := range ctx.lockOf {
 			frame[off] = obs.FrameSlot{Kind: obs.SlotLock, Index: int32(s)}
 		}
+		// order-insensitive: each frame offset is written exactly once
 		for s, base := range ctx.redBase {
 			for i := 0; i < lw.ncpu; i++ {
 				frame[base+int64(i)] = obs.FrameSlot{Kind: obs.SlotRed, Index: int32(s)}
@@ -227,6 +232,7 @@ func (lw *lowerer) prepareSTL(p *Plan) error {
 	for _, s := range p.Comm {
 		ctx.commSet[s] = true
 	}
+	// order-insensitive: copies each entry under its own key
 	for s, st := range p.Inductors {
 		ctx.indStep[s] = st
 	}
@@ -249,7 +255,7 @@ func (lw *lowerer) prepareSTL(p *Plan) error {
 	// protected slot, in bytecode order within the loop.
 	for _, s := range p.SyncSlots {
 		first, last := -1, -1
-		for b := range l.Blocks {
+		for _, b := range l.BlockIDs {
 			blk := lw.g.Blocks[b]
 			for pc := blk.Start; pc < blk.End; pc++ {
 				in := lw.m.Code[pc]
@@ -270,7 +276,7 @@ func (lw *lowerer) prepareSTL(p *Plan) error {
 		ctx.sigPC[last] = s
 	}
 	// Lexical end of the loop for the STL body range.
-	for b := range l.Blocks {
+	for _, b := range l.BlockIDs {
 		if e := lw.g.Blocks[b].End - 1; e > ctx.lastPC {
 			ctx.lastPC = e
 		}

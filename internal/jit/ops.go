@@ -175,7 +175,7 @@ func (lw *lowerer) lower(pc int) error {
 		lw.localWrite(int(in.A), v)
 		if ctx != nil {
 			if s, ok := ctx.resetStore[pc]; ok {
-				lw.emitResetComm(ctx, s)
+				lw.emitResetComm(ctx, s, pc)
 			}
 		}
 
@@ -198,7 +198,7 @@ func (lw *lowerer) lower(pc int) error {
 		}
 		if ctx != nil {
 			if s, ok := ctx.resetStore[pc]; ok {
-				lw.emitResetComm(ctx, s)
+				lw.emitResetComm(ctx, s, pc)
 			}
 		}
 

@@ -81,7 +81,7 @@ func (lw *lowerer) locateInductorSites(ctx *stlCtx) {
 	ctx.resetStore = map[int]int{}
 	for _, s := range sortedKeys(ctx.resetAt) {
 		step := ctx.indStep[s]
-		for b := range l.Blocks {
+		for _, b := range l.BlockIDs {
 			blk := lw.g.Blocks[b]
 			for pc := blk.Start; pc < blk.End; pc++ {
 				in := code[pc]
@@ -106,7 +106,7 @@ func (lw *lowerer) incDominates(outer *stlCtx, s int, head int) bool {
 	code := lw.m.Code
 	l := outer.loop
 	step := outer.indStep[s]
-	for b := range l.Blocks {
+	for _, b := range l.BlockIDs {
 		if inner := lw.g.InnermostLoopOf(b); inner != l {
 			continue
 		}
@@ -366,16 +366,23 @@ func (lw *lowerer) emitSignal(ctx *stlCtx, slot int) {
 }
 
 // emitResetComm implements the forced communication of a resetable inductor
-// reset (§4.2.3): the new value is written to the home slot and the next
-// iteration index becomes the new base, violating and restarting every
-// later speculative thread so they recompute from the updated base.
-func (lw *lowerer) emitResetComm(ctx *stlCtx, slot int) {
+// reset (§4.2.3) at bytecode pc: the new value is written to the home slot
+// and the iteration whose start value it is becomes the new base, violating
+// and restarting every later speculative thread so they recompute from the
+// updated base. A reset after this iteration's increment stores the next
+// iteration's start value (base iteration+1); a reset before it stores a
+// value the increment still advances, i.e. this iteration's (base
+// iteration). Taking iteration+1 for the latter dropped one step from every
+// later value, down to the live-out after the loop.
+func (lw *lowerer) emitResetComm(ctx *stlCtx, slot, pc int) {
 	b := lw.b
 	r := lw.place.reg[slot]
 	b.Sw(r, isa.FP, int64(slot))
 	t := lw.freshTemp()
 	b.Emit(isa.Instr{Op: isa.MFC2, Rd: t, Imm: isa.CP2Iteration})
-	b.OpImm(isa.ADDI, t, t, 1)
+	if after, ok := ctx.loop.ResetAfterInc[pc]; after || !ok {
+		b.OpImm(isa.ADDI, t, t, 1)
+	}
 	b.Sw(t, isa.FP, ctx.resetAt[slot])
 	lw.freeTemp(t)
 }

@@ -13,7 +13,7 @@ func largestLoop(bp *bytecode.Program) int {
 	best := 0
 	for _, l := range g.Loops {
 		n := 0
-		for b := range l.Blocks {
+		for _, b := range l.BlockIDs {
 			blk := g.Blocks[b]
 			n += blk.End - blk.Start
 		}

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"jrpm/internal/bytecode"
+	"jrpm/internal/core"
 )
 
 // TestDeterministicGeneration pins the suite's foundation: the same seed
@@ -260,5 +263,89 @@ func TestMultilevelRebaseRegression(t *testing.T) {
 	p := Generate(-32, QuickConfig())
 	if v := Check(p, DefaultCheckConfig()); v.Diverged() {
 		t.Fatalf("seed -32 diverged on leg %q: %s", v.Divergence, v.Detail)
+	}
+}
+
+// resetBeforeIncrement is seed 16777725 (DefaultConfig) after 73 shrink
+// checks: local 1 is conditionally reloaded from a[0] behind an always-true
+// compare, then advanced by 46 on every iteration and printed after the
+// loop. cfg classifies it as a resetable inductor with step 46 whose reset
+// runs before the increment in its iteration.
+const resetBeforeIncrement = `program progen
+statics 3
+method main args=0 locals=4 returns=false
+    const 0
+    store 0
+    const 0
+    store 1
+    const 0
+    putstatic 0
+    const 0
+    putstatic 1
+    const 0
+    putstatic 2
+    const 1
+    newarray
+    store 2
+    const 0
+    const 0
+    if_icmpne .L35
+    const -1
+    store 3
+  .L18:
+    load 3
+    const 3
+    if_icmpge .L35
+    iinc 3 1
+    const 0
+    const 0
+    if_icmpge .L26
+    goto .L30
+  .L26:
+    load 2
+    const 0
+    aload
+    store 1
+  .L30:
+    load 1
+    const 46
+    iadd
+    store 1
+    goto .L18
+  .L35:
+    load 1
+    print
+    return
+end
+`
+
+// TestResetBeforeIncrementRegression pins durable-fresh's live-out
+// miscompile: the reset's forced communication named the next iteration as
+// the new base, as if the increment had already run, so every later value
+// lost one step and the TLS leg printed [0] where the sequential and
+// profile legs print [46]. The reset now names its own iteration when the
+// increment follows it.
+func TestResetBeforeIncrementRegression(t *testing.T) {
+	bp, err := bytecode.Parse(resetBeforeIncrement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, noInline := range []bool{false, true} {
+		for _, tierOff := range []bool{false, true} {
+			opts := core.DefaultOptions()
+			opts.NoInline, opts.Tier2Off = noInline, tierOff
+			res, err := core.Run(bp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.OutputsMatch || len(res.TLS.Output) != 1 || res.TLS.Output[0] != 46 {
+				t.Fatalf("inline=%v tier-off=%v: seq %v, tls %v; want [46] from every leg",
+					!noInline, tierOff, res.Seq.Output, res.TLS.Output)
+			}
+		}
+	}
+	p := Generate(16777725, DefaultConfig())
+	if v := Check(p, DefaultCheckConfig()); v.Diverged() {
+		t.Fatalf("seed 16777725 diverged on leg %q: %s", v.Divergence, v.Detail)
 	}
 }

@@ -84,7 +84,14 @@ func copyTree(t *testing.T, src, dst string) {
 // seeing it implies the checkpoint file is complete too).
 func waitForJournalCheckpoint(t *testing.T, dir string, id int64) {
 	t.Helper()
-	needle := []byte(fmt.Sprintf(`"event":"checkpointed","id":%d`, id))
+	waitForJournalEvent(t, dir, id, evCheckpointed)
+}
+
+// waitForJournalEvent blocks until the journal holds an event record for
+// job id.
+func waitForJournalEvent(t *testing.T, dir string, id int64, event string) {
+	t.Helper()
+	needle := []byte(fmt.Sprintf(`"event":%q,"id":%d`, event, id))
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		b, err := os.ReadFile(journalPath(dir))
@@ -93,7 +100,7 @@ func waitForJournalCheckpoint(t *testing.T, dir string, id int64) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("no durable checkpoint for job %d within deadline", id)
+	t.Fatalf("no %s record for job %d within deadline", event, id)
 }
 
 // TestDurableCrashRecoveryResumesMidRun is the crash-durability property end
@@ -314,5 +321,87 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	}
 	if _, _, err := openJournal(dir2); err == nil {
 		t.Fatal("mid-file torn record should be an error")
+	}
+}
+
+// TestDurableJobDoneBeforeSubmitReturns: a job that finishes before its
+// submitter gets control back must replay as done — same ID, same result
+// bytes — and must not run again. The accepted record has to be durable
+// before a worker can see the job; journalled after the enqueue, a fast
+// job's done record preceded it and replay re-ran the finished job.
+func TestDurableJobDoneBeforeSubmitReturns(t *testing.T) {
+	dir := t.TempDir()
+	s1, _, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Start()
+	// The hook holds Submit until the job's done record is durable.
+	submitHook = func(id int64) { waitForJournalEvent(t, dir, id, evDone) }
+	v, err := s1.Submit(JobSpec{Name: "fast", Source: longLoopSource(50)})
+	submitHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitDone(t, s1, v.ID); got.Status != StatusDone {
+		t.Fatalf("job: %+v", got)
+	}
+	refWire, err := s1.ResultBytes(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	s1.Shutdown(ctx)
+	cancel()
+
+	s2, rec, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s2.Shutdown(ctx)
+	}()
+	if rec != (Recovery{Completed: 1}) {
+		t.Fatalf("recovery = %+v, want exactly one completed job and nothing re-run", rec)
+	}
+	got, err := s2.Job(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Status != StatusDone || got.Name != "fast" {
+		t.Fatalf("restored view: %+v", got)
+	}
+	gotWire, err := s2.ResultBytes(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotWire, refWire) {
+		t.Fatal("restored result bytes differ from the original")
+	}
+	if n := len(s2.queue); n != 0 {
+		t.Fatalf("%d jobs re-enqueued after recovery, want 0", n)
+	}
+}
+
+// TestJournalRejectedVoidsAccepted: a job shed after its accepted record
+// was journalled (queue full or draining) leaves a rejected record, and
+// replay does not resurrect it.
+func TestJournalRejectedVoidsAccepted(t *testing.T) {
+	dir := t.TempDir()
+	wal := `{"event":"accepted","id":1,"spec":{"name":"a","workload":"BitOps"}}` + "\n" +
+		`{"event":"accepted","id":2,"spec":{"name":"b","workload":"BitOps"}}` + "\n" +
+		`{"event":"rejected","id":1}` + "\n"
+	if err := os.WriteFile(journalPath(dir), []byte(wal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jl, recovered, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+	if len(recovered) != 1 || recovered[0].ID != 2 {
+		t.Fatalf("recovered = %+v, want only job 2", recovered)
 	}
 }

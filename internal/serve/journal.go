@@ -8,7 +8,8 @@
 //	results/job-N.bin     canonical result wire bytes, written before "done"
 //
 // The journal is the source of truth for the job state machine
-// accepted → running → checkpointed(seq) → done. Every transition is
+// accepted → running → checkpointed(seq) → done, or accepted → rejected
+// for a job shed after it was journalled. Every transition is
 // fsync'd before it is acknowledged, so after kill -9 a replay sees every
 // job the server ever accepted: terminal jobs are restored for inspection
 // (their result bytes are already durable — the done record is written
@@ -34,6 +35,9 @@ const (
 	evRunning      = "running"
 	evCheckpointed = "checkpointed"
 	evDone         = "done"
+	// evRejected voids an accepted record: the job was shed after it was
+	// journalled (queue full or draining) and never ran.
+	evRejected = "rejected"
 )
 
 // journalRecord is one WAL line.
@@ -144,6 +148,8 @@ func replayJournal(path string) ([]*recoveredJob, error) {
 			if j := byID[rec.ID]; j != nil {
 				j.View = rec.View
 			}
+		case evRejected:
+			delete(byID, rec.ID)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -151,7 +157,9 @@ func replayJournal(path string) ([]*recoveredJob, error) {
 	}
 	out := make([]*recoveredJob, 0, len(order))
 	for _, id := range order {
-		out = append(out, byID[id])
+		if j := byID[id]; j != nil {
+			out = append(out, j)
+		}
 	}
 	return out, nil
 }

@@ -423,28 +423,49 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 		return JobView{}, ErrDraining
 	}
 	j.view.ID = s.nextID.Add(1)
-	select {
-	case s.queue <- j:
-	default:
+	s.mu.Unlock()
+	// Durability point: the job exists once this record is fsync'd, and it
+	// must be before any worker can see the job — otherwise a fast job's
+	// done record could precede it and replay would run the job again. A
+	// failed append is surfaced as a metric, not a shed: the job still
+	// runs, it just won't survive a crash.
+	s.journalAppend(journalRecord{Event: evAccepted, ID: j.view.ID, Spec: &spec})
+	s.mu.Lock()
+	shed := ErrDraining
+	if s.started && !s.draining {
+		select {
+		case s.queue <- j:
+			shed = nil
+		default:
+			shed = ErrQueueFull
+		}
+	}
+	if shed != nil {
 		s.mu.Unlock()
-		b.OnResult(false, true) // ditto: queue-full is not a probe verdict
-		s.reg.Counter("jrpm_serve_jobs_shed_total{reason=\"queue_full\"}").Inc()
-		return JobView{}, ErrQueueFull
+		b.OnResult(false, true) // a shed is not a probe verdict
+		reason := "queue_full"
+		if shed == ErrDraining {
+			reason = "draining"
+		}
+		s.reg.Counter("jrpm_serve_jobs_shed_total{reason=\"" + reason + "\"}").Inc()
+		// The accepted record is already durable: void it so replay does
+		// not resurrect a job the client was told was shed.
+		s.journalAppend(journalRecord{Event: evRejected, ID: j.view.ID})
+		return JobView{}, shed
 	}
 	s.jobs[j.view.ID] = j
 	s.evictLocked()
 	s.mu.Unlock()
-	s.reg.Gauge("jrpm_serve_queue_depth").Set(float64(len(s.queue)))
-	if s.journal != nil {
-		// Durability point: the job exists once this record is fsync'd. A
-		// failed append is surfaced as a metric, not a shed — the job still
-		// runs, it just won't survive a crash.
-		if err := s.journal.append(journalRecord{Event: evAccepted, ID: j.view.ID, Spec: &spec}); err != nil {
-			s.reg.Counter("jrpm_serve_journal_errors_total").Inc()
-		}
+	if submitHook != nil {
+		submitHook(j.view.ID)
 	}
+	s.reg.Gauge("jrpm_serve_queue_depth").Set(float64(len(s.queue)))
 	return j.snapshot(), nil
 }
+
+// submitHook, when set by a test, runs inside Submit after the job is
+// queued and before Submit returns.
+var submitHook func(id int64)
 
 // Checkpoint returns the latest encoded checkpoint of a job (codec
 // checkpoint envelope). Available while the job runs and after it reaches a

@@ -216,6 +216,10 @@ type Unit struct {
 	// ledger when attached (nil in ordinary runs; pure observation, never
 	// feeds back into Stats or scheduling).
 	led *obs.Ledger
+
+	// beforeFlush, when set, runs before the unit flushes, violates, kills
+	// or reassigns any thread's attempt (see SetFlushHook).
+	beforeFlush func()
 }
 
 // NewUnit builds a TLS unit over the given memory and caches.
@@ -242,6 +246,20 @@ func (u *Unit) Release() {
 		}
 	}
 	u.threads = nil
+}
+
+// SetFlushHook installs fn to run before every operation that can flush,
+// violate, kill or reassign a thread's attempt: CommitEOI, CommitPartial,
+// ViolateFrom (and so a violating Store), KillYounger, DemoteSolo,
+// SwitchSTL and Shutdown. A caller that charges attempt cycles lazily uses
+// it to bring every thread's charges up to date while they still count
+// against the attempt they belong to. nil removes the hook.
+func (u *Unit) SetFlushHook(fn func()) { u.beforeFlush = fn }
+
+func (u *Unit) flushing() {
+	if u.beforeFlush != nil {
+		u.beforeFlush()
+	}
 }
 
 // Config returns the unit's configuration.
@@ -347,6 +365,7 @@ func (u *Unit) SwitchSTL(stlID int64, headCPU int, baseIter int64) error {
 	// cycles of every partial outer iteration silently vanished from the
 	// Figure 10 accounting (found by the litmus machine's cycle-conservation
 	// check; pinned in testdata/litmus/switch_stl_accounting.json).
+	u.flushing()
 	u.flushAttempt(headCPU, u.threads[headCPU], true)
 	u.assign(stlID, headCPU, baseIter)
 	return nil
@@ -378,6 +397,7 @@ func (u *Unit) CommitPartial(cpu int) error {
 	if !u.IsHead(cpu) {
 		return u.headErr("CommitPartial", cpu)
 	}
+	u.flushing()
 	u.drainBuffer(cpu, t)
 	t.readWords.reset()
 	t.readLines.reset()
@@ -387,6 +407,7 @@ func (u *Unit) CommitPartial(cpu int) error {
 // KillYounger discards every thread younger than cpu's (their work flushes
 // to the violated buckets) and returns the affected CPUs.
 func (u *Unit) KillYounger(cpu int) []int {
+	u.flushing()
 	my := u.threads[cpu].iter
 	var killed []int
 	for c, t := range u.threads {
@@ -582,6 +603,7 @@ func (u *Unit) broadcast(cpu int, a mem.Addr) []int {
 // the restart handler cost is charged. It returns the affected CPUs; the
 // caller must redirect their PCs to the STL restart point.
 func (u *Unit) ViolateFrom(fromIter int64) []int {
+	u.flushing()
 	var cpus []int
 	for c, t := range u.threads {
 		if t.iter >= fromIter {
@@ -673,6 +695,7 @@ func (u *Unit) CommitEOI(cpu int) error {
 	if !u.IsHead(cpu) {
 		return u.headErr("CommitEOI", cpu)
 	}
+	u.flushing()
 	u.noteBufferUsage(t)
 	u.flushAttempt(cpu, t, true)
 	u.drainBuffer(cpu, t)
@@ -724,6 +747,7 @@ func (u *Unit) Shutdown(cpu int) ([]int, error) {
 	if !u.IsHead(cpu) {
 		return nil, u.headErr("Shutdown", cpu)
 	}
+	u.flushing()
 	u.noteBufferUsage(t)
 	u.flushAttempt(cpu, t, true)
 	u.drainBuffer(cpu, t)
