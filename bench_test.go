@@ -109,14 +109,14 @@ func BenchmarkTable3Suite(b *testing.B) {
 	}
 }
 
-// BenchmarkTierCompare pairs tier-on and tier-off pipeline runs on two
-// Table 3 workloads so `benchstat` (or the CI smoke step's ns/op ratio) can
+// BenchmarkTierCompare pairs tier-on and tier-off pipeline runs on three
+// Table 3 workloads (jLex for the speculative leg's register runs) so `benchstat` (or the CI smoke step's ns/op ratio) can
 // quantify the tier-2 block engine's host-time win. Results are bit-identical
 // between the legs — only wall time differs. EXPERIMENTS.md has the recipe.
 func BenchmarkTierCompare(b *testing.B) {
 	off := core.DefaultOptions()
 	off.Tier2Off = true
-	for _, name := range []string{"BitOps", "FourierTest"} {
+	for _, name := range []string{"BitOps", "FourierTest", "jLex"} {
 		w := workloads.ByName(name)
 		b.Run(name+"/tier=on", func(b *testing.B) {
 			pipeline(b, w, false, core.DefaultOptions())

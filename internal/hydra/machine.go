@@ -51,15 +51,16 @@ type snapshot struct {
 
 // CPU is one single-issue core.
 type CPU struct {
-	ID       int
+	ID      int
+	state   cpuState // state and readyAt lead: the scheduler scans them
+	readyAt int64
+
 	Regs     [isa.NumRegs]int64
 	PC       int
 	MethodID int
 
-	frames  []frame
-	state   cpuState
-	readyAt int64
-	snap    snapshot
+	frames []frame
+	snap   snapshot
 
 	pendingExKind   int64
 	pendingExRef    int64
@@ -246,6 +247,7 @@ type Machine struct {
 	maxCycles int64
 	actor     int
 	nparked   int
+	epoch     int64 // bumped whenever a step changes another CPU's schedule
 	sched     schedStats
 	// Parks counts parked head-waits per wait reason (obs.Wait* order).
 	Parks [numWaitStates]int64
@@ -446,7 +448,8 @@ func (m *Machine) schedule(maxCycles int64) {
 		next := int64(math.MaxInt64)
 		active := 0
 		var solo, first *CPU
-		alone := false // first is the only CPU due at next
+		alone := false                // first is the only CPU due at next
+		after := int64(math.MaxInt64) // the earliest readyAt of the others
 		for _, c := range m.CPUs {
 			if c.state == stateIdle || c.state == stateHalted {
 				continue
@@ -454,9 +457,14 @@ func (m *Machine) schedule(maxCycles int64) {
 			active++
 			solo = c
 			if c.readyAt < next {
-				next, first, alone = c.readyAt, c, true
-			} else if c.readyAt == next {
-				alone = false
+				after, next, first, alone = next, c.readyAt, c, true
+			} else {
+				if c.readyAt == next {
+					alone = false
+				}
+				if c.readyAt < after {
+					after = c.readyAt
+				}
 			}
 		}
 		if m.nparked > 0 {
@@ -519,10 +527,21 @@ func (m *Machine) schedule(maxCycles int64) {
 			continue
 		}
 		if alone {
-			// One CPU is due this cycle: no scan for the others.
+			// One CPU is due this cycle: no scan for the others. While its
+			// next step stays strictly before every other CPU's and short of
+			// the budget and poll edges, and its steps change no other CPU
+			// (epoch), nothing else can act in between: keep stepping it.
 			if first.readyAt == m.Clock {
 				m.actor = first.ID
-				m.step(first)
+				for ep := m.epoch; ; {
+					m.step(first)
+					at := first.readyAt
+					if at >= after || at > maxCycles || m.epoch != ep || m.halted ||
+						m.ctxDone != nil && at >= m.nextCtxCheck || !m.TLS.Active() {
+						break
+					}
+					m.Clock = at
+				}
 			}
 			continue
 		}

@@ -164,6 +164,7 @@ func (m *Machine) settleAll() {
 // action changes c: an uncounted run tail is undone, and a parked CPU is
 // unparked with the readyAt its last settled poll leaves.
 func (m *Machine) materialize(c *CPU) {
+	m.epoch++
 	if c.parked {
 		c.parked = false
 		m.nparked--

@@ -83,6 +83,9 @@ func (b *storeBuffer) lines() int { return len(b.order) }
 
 // get returns the buffered value of word a, if present.
 func (b *storeBuffer) get(a mem.Addr) (int64, bool) {
+	if len(b.order) == 0 {
+		return 0, false // empty: skip the probe
+	}
 	line := mem.Line(a)
 	off := uint(a) % mem.LineWords
 	for slot := hashAddr(line) & b.mask; ; slot = (slot + 1) & b.mask {
