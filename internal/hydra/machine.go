@@ -83,11 +83,11 @@ type CPU struct {
 	parked bool
 	parkAt int64
 	run    regRun
-	// blk/bi cache the speculative block and op index at pc blkPC, where
-	// the last register run stopped (nil when unknown).
-	blk   *t2block
-	bi    int
-	blkPC int
+	// blk/bi cache the speculative block and op index at PC where the last
+	// register run stopped; materialize clears it, and no other path moves
+	// the pc of a running CPU between its steps.
+	blk *t2block
+	bi  int
 }
 
 // exKindMemFault is the pendingExKind sentinel for a deferred out-of-range

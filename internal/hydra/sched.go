@@ -218,7 +218,7 @@ func (m *Machine) settleStop() {
 func (m *Machine) specStep(c *CPU) {
 	b, i := c.blk, c.bi
 	c.blk = nil
-	if b == nil || c.blkPC != c.PC {
+	if b == nil {
 		b, _ = m.t2.find(true, m, c)
 		i = 0
 	}
@@ -234,7 +234,7 @@ func (m *Machine) specStep(c *CPU) {
 		if i++; i < len(b.ops) && b.reg>>i&1 == 0 {
 			// Another memory op follows: it is the next step's.
 			if c.state == stateRunning {
-				c.blk, c.bi, c.blkPC = b, i, c.PC
+				c.blk, c.bi = b, i
 			}
 			return
 		}
@@ -330,7 +330,7 @@ func (m *Machine) runRegs(c *CPU, b *t2block, i int) {
 			if b.ops != nil {
 				c.PC = int(b.ops[i].pc)
 			}
-			c.blk, c.bi, c.blkPC = b, i, c.PC
+			c.blk, c.bi = b, i
 			break
 		}
 		if b.endPC >= 0 {
