@@ -231,3 +231,28 @@ func TestParkingCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecSchedulerZeroAlloc proves the event-driven speculative scheduler
+// allocates nothing per step: register runs log into fixed per-CPU arrays
+// and parking only flips fields, so a speculative loop 100× longer must
+// not allocate more (the loop commits without violations, whose victim
+// lists are the tls unit's own allocation).
+func TestSpecSchedulerZeroAlloc(t *testing.T) {
+	measure := func(n int64) float64 {
+		img := unevenSpec(n)
+		return testing.AllocsPerRun(3, func() {
+			m := NewMachine(img, newStubRuntime(), DefaultOptions())
+			if err := m.Run(50_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if m.t2 == nil || m.TLS.Violations != 0 || m.Parks[obs.WaitEOI] == 0 {
+				t.Fatalf("engine %v, violations %d, parks %v", m.t2 != nil, m.TLS.Violations, m.Parks)
+			}
+			m.Release()
+		})
+	}
+	small, big := measure(40), measure(4000)
+	if big > small+3 {
+		t.Fatalf("speculative steps allocate: %.0f allocs at 40 iterations vs %.0f at 4000", small, big)
+	}
+}
