@@ -12,7 +12,9 @@ import (
 // The cycle-accurate interpreter (exec.go) dispatches one instruction per
 // Machine.exec call through a ~300-case switch; profiles show that dispatch —
 // not simulation semantics — dominates every serial phase. The tier-2 engine
-// removes it for the serial fast loop only: straight-line runs of fusable
+// removes it for the serial fast loop (the speculative scheduler's register
+// runs reuse its blocks and handlers under their own exactness contract, see
+// sched.go): straight-line runs of fusable
 // instructions (see isa.Traits) are decoded once into arrays of fused ops
 // with direct handler function pointers, a per-block summed static cycle
 // cost, and memory ops still routed through loadWord/storeWord so cache
@@ -46,7 +48,8 @@ type DemoteReason uint8
 const (
 	// DemoteSpec: an STL marker (start/EOI/shutdown/switch-in/switch-out).
 	// Speculation boundaries always interpret, and while TLS is active the
-	// engine does not run at all.
+	// serial block engine does not run (speculative register runs use the
+	// blocks without its counters).
 	DemoteSpec DemoteReason = iota
 	// DemoteCall: CALL or RET (frame linkage, stack-overflow check).
 	DemoteCall
